@@ -35,8 +35,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.dspstone import all_kernels
 from repro.evalx.farm import (
-    CompileJob, FarmResult, clear_worker_pool, compile_many,
-    default_workers, run_job,
+    CompileJob, Result, clear_worker_session, default_workers, run_job,
+    run_many,
 )
 from repro.ir.trees import (
     clear_tree_caches, intern_table_size, set_tree_caching,
@@ -63,12 +63,12 @@ def build_jobs(kernels: List[str], fresh: bool) -> List[CompileJob]:
             for compiler, target in CELLS]
 
 
-def _aggregate(results: List[FarmResult]) -> Dict[str, object]:
+def _aggregate(results: List[Result]) -> Dict[str, object]:
     """Stage timings and label-cache telemetry summed over a run."""
     timings = {stage: 0.0 for stage in STAGES}
     hits = misses = 0
     for result in results:
-        stats = result.compiled.stats
+        stats = result.payload.stats
         for stage, seconds in stats.get("timings", {}).items():
             if stage in timings:
                 timings[stage] += seconds
@@ -85,25 +85,25 @@ def _aggregate(results: List[FarmResult]) -> Dict[str, object]:
     }
 
 
-def _check_identical(reference: List[FarmResult],
-                     measured: List[FarmResult]) -> List[str]:
+def _check_identical(reference: List[Result],
+                     measured: List[Result]) -> List[str]:
     """Job keys whose listings diverge between two runs."""
     diverged = []
     for ref, got in zip(reference, measured):
         key = f"{ref.job.kernel}/{ref.job.compiler}/{ref.job.target}"
         if (ref.ok != got.ok
-                or (ref.ok and ref.compiled.listing()
-                    != got.compiled.listing())):
+                or (ref.ok and ref.payload.listing()
+                    != got.payload.listing())):
             diverged.append(key)
     return diverged
 
 
 def run_uncached_serial(jobs: List[CompileJob]) -> Tuple[float,
-                                                         List[FarmResult]]:
+                                                         List[Result]]:
     """The historical path: no tree interning, cold compiler per job."""
     previous = set_tree_caching(False)
     try:
-        clear_worker_pool()
+        clear_worker_session()
         started = perf_counter()
         results = [run_job(job) for job in jobs]
         wall = perf_counter() - started
@@ -113,10 +113,10 @@ def run_uncached_serial(jobs: List[CompileJob]) -> Tuple[float,
 
 
 def run_cached_serial(jobs: List[CompileJob]) -> Tuple[float,
-                                                       List[FarmResult]]:
+                                                       List[Result]]:
     """All caches on, starting cold, one process."""
     clear_tree_caches()
-    clear_worker_pool()
+    clear_worker_session()
     started = perf_counter()
     results = [run_job(job) for job in jobs]
     wall = perf_counter() - started
@@ -124,10 +124,10 @@ def run_cached_serial(jobs: List[CompileJob]) -> Tuple[float,
 
 
 def run_cached_parallel(jobs: List[CompileJob]
-                        ) -> Tuple[float, List[FarmResult], int]:
+                        ) -> Tuple[float, List[Result], int]:
     workers = default_workers()
     started = perf_counter()
-    results = compile_many(jobs, parallel=True)
+    results = run_many(jobs, parallel=True)
     wall = perf_counter() - started
     return wall, results, workers
 

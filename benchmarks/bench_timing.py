@@ -12,7 +12,7 @@ or :  python benchmarks/bench_timing.py
 
 from repro.codegen.timing import predict_cycles
 from repro.dspstone import all_kernels
-from repro.evalx.farm import CompileJob, compile_many
+from repro.evalx.farm import CompileJob, run_many
 from repro.sim.harness import run_compiled
 
 # The kernel x compiler x target matrix, one farm job per cell (the
@@ -27,7 +27,7 @@ def build_everything(parallel=None):
     jobs = [CompileJob(kernel=spec.name, compiler=compiler, target=target)
             for spec in specs
             for compiler, target in _CELLS]
-    results = compile_many(jobs, parallel=parallel)
+    results = run_many(jobs, parallel=parallel)
     by_name = {spec.name: spec for spec in specs}
     compiled = []
     for result in results:
@@ -36,7 +36,7 @@ def build_everything(parallel=None):
                 f"{result.job.kernel}/{result.job.compiler}/"
                 f"{result.job.target}: [{result.error_type}] "
                 f"{result.error}")
-        compiled.append((by_name[result.job.kernel], result.compiled))
+        compiled.append((by_name[result.job.kernel], result.payload))
     return compiled
 
 

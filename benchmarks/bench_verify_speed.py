@@ -9,9 +9,10 @@ matrix of ``python -m repro.verify``:
   of a cold run and are a pure function of (program, compiler, target,
   code version), so a warm cache removes them entirely -- across
   processes *and* across runs;
-- the **parallel verify farm** (`repro.evalx.farm.verify_many`):
-  per-program matrix checks fan out over worker processes that keep
-  compiler pools, label caches and the shared artifact cache warm.
+- the **parallel verify farm** (`repro.evalx.farm.run_many` over
+  `VerifyJob`s): per-program matrix checks fan out over worker
+  processes that keep compiler pools, label caches and the shared
+  artifact cache warm.
 
 Four modes run the identical program matrix -- serial-cold,
 serial-warm, parallel-cold, parallel-warm -- and the bench enforces

@@ -31,7 +31,8 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from repro.cache.artifacts import (
-    ArtifactCache, CacheStats, DEFAULT_MAX_BYTES, options_payload,
+    ArtifactCache, CacheStats, DEFAULT_MAX_BYTES, content_key,
+    options_payload,
 )
 from repro.cache.version import code_version, set_code_version
 from repro.codegen.compiled import CompiledProgram
@@ -44,6 +45,7 @@ __all__ = [
     "cached_compile",
     "code_version",
     "configure",
+    "content_key",
     "default_cache_dir",
     "options_payload",
     "set_code_version",

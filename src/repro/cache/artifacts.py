@@ -1,21 +1,25 @@
-"""Persistent content-addressed store of compiled programs.
+"""Persistent content-addressed blob store.
 
-Every artifact is one pickle file under the cache root, named by the
-SHA-256 of everything that determines the compile's output:
+Three kinds of entry share one store, one read path and one write
+path; they differ only in their codec (:data:`_CODECS`):
 
-- the serialized lowered program (``repro.verify.corpus`` spec form --
-  structural, so two ``Program`` objects with the same shape share a
-  key, however they were built);
-- the compiler registry name and the ``repr`` of its frozen options
-  dataclass;
-- the target registry name;
-- the repository code-version stamp (:mod:`repro.cache.version`).
+- **artifacts** -- pickled :class:`CompiledProgram` files, keyed by
+  :meth:`ArtifactCache.key_for`: the serialized lowered program
+  (``repro.verify.corpus`` spec form -- structural, so two ``Program``
+  objects with the same shape share a key, however they were built),
+  the compiler registry name and its options, and the target name;
+- **sources** -- the simulator JIT's generated Python (``jit/``);
+- **records** -- the tuner's canonical-JSON measurements (``meas/``).
+
+Every key is a :func:`content_key`: the SHA-256 of canonical JSON of
+the key's ingredients plus the repository code-version stamp
+(:mod:`repro.cache.version`).
 
 Design constraints, in order:
 
 - **never wrong**: a cache problem of any kind (unreadable file,
-  truncated pickle, stale class layout, full disk) degrades to a
-  recompile with a logged warning -- it can never crash a run or
+  truncated blob, stale class layout, full disk) degrades to a
+  rebuild with a logged warning -- it can never crash a run or
   change a result;
 - **safe under concurrency**: farm workers share one cache directory.
   Writes go to a per-process temporary file and land with an atomic
@@ -37,7 +41,7 @@ import os
 import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.cache.version import code_version
 from repro.codegen.compiled import CompiledProgram
@@ -74,6 +78,56 @@ def options_payload(options: object) -> object:
         return {"class": type(options).__name__,
                 "fields": dataclasses.asdict(options)}
     return repr(options)
+
+
+def content_key(ingredients: Callable[[], object]) -> Optional[str]:
+    """SHA-256 of canonical JSON of ``ingredients()`` plus the code
+    version: the one key recipe of every store entry.
+
+    ``None`` when building or serializing the ingredients fails --
+    key derivation must never break the work it memoizes; uncacheable
+    input simply bypasses the store.
+    """
+    try:
+        payload = json.dumps({"key": ingredients(), "code": code_version()},
+                             sort_keys=True)
+    except Exception:                                  # noqa: BLE001
+        return None
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+@dataclass(frozen=True)
+class _Codec:
+    """Where one kind of entry lives and how it becomes bytes.
+    ``decode`` raises on anything that is not a valid entry."""
+
+    subdir: str
+    suffix: str
+    encode: Callable[[object], bytes]
+    decode: Callable[[bytes], object]
+
+
+def _checked(value, expected: type):
+    if not isinstance(value, expected):
+        raise TypeError(f"entry holds {type(value).__name__}")
+    return value
+
+
+_CODECS = {
+    "artifact": _Codec(
+        "", ".pkl", pickle.dumps,
+        lambda blob: _checked(pickle.loads(blob), CompiledProgram)),
+    "source": _Codec(
+        "jit", ".py", lambda source: source.encode("utf-8"),
+        lambda blob: blob.decode("utf-8")),
+    # Canonical (sort_keys), so racing writers of one key -- farm
+    # workers measuring one deduped cell -- write identical bytes.
+    "record": _Codec(
+        "meas", ".json",
+        lambda record: (json.dumps(record, sort_keys=True)
+                        + "\n").encode("utf-8"),
+        lambda blob: _checked(json.loads(blob.decode("utf-8")), dict)),
+}
 
 #: When the store crosses ``max_bytes``, evict down to this fraction
 #: of it.  Stopping at the bound itself would put the very next store
@@ -145,210 +199,125 @@ class ArtifactCache:
         through the normal path.
         """
         from repro.verify.corpus import program_to_spec
-        try:
-            payload = json.dumps({
-                "format": _KEY_FORMAT,
-                "program": program_to_spec(program),
-                "compiler": compiler_name,
-                "options": options_payload(options),
-                "target": target_name,
-                "code": code_version(),
-            }, sort_keys=True)
-        except Exception:                              # noqa: BLE001
-            # Key derivation must never break a compile: anything the
-            # spec form cannot express simply bypasses the cache.
-            return None
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return content_key(lambda: {
+            "format": _KEY_FORMAT,
+            "program": program_to_spec(program),
+            "compiler": compiler_name,
+            "options": options_payload(options),
+            "target": target_name,
+        })
 
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.pkl"
-
-    def _source_path(self, key: str) -> Path:
-        return self.root / "jit" / key[:2] / f"{key}.py"
-
-    def _record_path(self, key: str) -> Path:
-        return self.root / "meas" / key[:2] / f"{key}.json"
-
-    # -- lookup ---------------------------------------------------------
+    # -- the three codecs -------------------------------------------------
 
     def get(self, key: str) -> Optional[CompiledProgram]:
         """Load an artifact, or ``None`` on miss or any disk problem."""
-        path = self._path(key)
-        try:
-            payload = path.read_bytes()
-        except OSError:
-            self.stats.misses += 1
-            return None
-        try:
-            compiled = pickle.loads(payload)
-            if not isinstance(compiled, CompiledProgram):
-                raise TypeError(
-                    f"cache entry holds {type(compiled).__name__}")
-        except Exception as exc:                       # noqa: BLE001
-            # Truncated write, stale class layout, bit rot: drop the
-            # entry and recompile.  Never let a bad artifact escape.
-            self.stats.corrupt_entries += 1
-            self.stats.misses += 1
-            logger.warning("dropping corrupt cache entry %s (%s: %s)",
-                           path.name, type(exc).__name__, exc)
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        self.stats.hits += 1
-        compiled.stats["artifact_cache"] = "hit"
-        self._touch(path)
+        compiled = self._read("artifact", key)
+        if compiled is not None:
+            compiled.stats["artifact_cache"] = "hit"
         return compiled
 
-    def get_source(self, key: str) -> Optional[str]:
-        """Load a generated-source blob (the simulator JIT's entries),
-        or ``None`` on miss or any disk problem."""
-        path = self._source_path(key)
-        try:
-            source = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError):
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        self._touch(path)
-        return source
-
-    def get_record(self, key: str) -> Optional[dict]:
-        """Load a JSON measurement record (the tuner's entries), or
-        ``None`` on miss or any disk problem.
-
-        Records get the same corruption discipline as artifacts: a
-        truncated or non-dict entry is dropped and re-measured, never
-        surfaced.
-        """
-        path = self._record_path(key)
-        try:
-            payload = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError):
-            self.stats.misses += 1
-            return None
-        try:
-            record = json.loads(payload)
-            if not isinstance(record, dict):
-                raise TypeError(
-                    f"record entry holds {type(record).__name__}")
-        except Exception as exc:                       # noqa: BLE001
-            self.stats.corrupt_entries += 1
-            self.stats.misses += 1
-            logger.warning("dropping corrupt record entry %s (%s: %s)",
-                           path.name, type(exc).__name__, exc)
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        self.stats.hits += 1
-        self._touch(path)
-        return record
-
-    def _touch(self, path: Path) -> None:
-        """Refresh an entry's LRU position (counted in ``stats``)."""
-        try:
-            os.utime(path)
-        except OSError:
-            return                 # entry evicted under us: still a hit
-        self.stats.touches += 1
-
-    # -- store ----------------------------------------------------------
-
-    def put_source(self, key: str, source: str) -> bool:
-        """Store a generated-source blob atomically (same discipline as
-        :meth:`put`: racing writers produce identical bytes)."""
-        path = self._source_path(key)
-        tmp = path.with_name(
-            f".{path.stem}.{os.getpid()}.{self._tmp_counter}.tmp")
-        self._tmp_counter += 1
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(source, encoding="utf-8")
-            os.replace(tmp, path)
-        except OSError as exc:
-            self.stats.store_failures += 1
-            logger.warning("cannot store source entry %s (%s); "
-                           "continuing uncached", path.name, exc)
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            return False
-        self.stats.stores += 1
-        self._note_store(len(source.encode("utf-8")))
-        return True
-
-    def put_record(self, key: str, record: dict) -> bool:
-        """Store a JSON measurement record atomically.
-
-        The blob is canonical (``sort_keys``), so racing writers of
-        the same key -- farm workers measuring one deduped cell --
-        produce identical bytes and either winner is correct.
-        """
-        try:
-            blob = json.dumps(record, sort_keys=True) + "\n"
-        except (TypeError, ValueError) as exc:
-            self.stats.store_failures += 1
-            logger.warning("measurement record %s not JSON-able (%s); "
-                           "not cached", key[:12], exc)
-            return False
-        path = self._record_path(key)
-        tmp = path.with_name(
-            f".{path.stem}.{os.getpid()}.{self._tmp_counter}.tmp")
-        self._tmp_counter += 1
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(blob, encoding="utf-8")
-            os.replace(tmp, path)
-        except OSError as exc:
-            self.stats.store_failures += 1
-            logger.warning("cannot store record entry %s (%s); "
-                           "continuing uncached", path.name, exc)
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            return False
-        self.stats.stores += 1
-        self._note_store(len(blob.encode("utf-8")))
-        return True
-
     def put(self, key: str, compiled: CompiledProgram) -> bool:
-        """Store an artifact atomically; returns whether it landed."""
-        path = self._path(key)
+        """Store an artifact atomically; returns whether it landed.  The
+        ``artifact_cache`` hit marker describes a loaded copy, never
+        the stored one."""
         marker = compiled.stats.pop("artifact_cache", None)
         try:
-            payload = pickle.dumps(compiled)
-        except Exception as exc:                       # noqa: BLE001
-            self.stats.store_failures += 1
-            logger.warning("artifact %s not picklable (%s: %s); "
-                           "not cached", compiled.name,
-                           type(exc).__name__, exc)
-            return False
+            return self._write("artifact", key, compiled)
         finally:
             if marker is not None:
                 compiled.stats["artifact_cache"] = marker
+
+    def get_source(self, key: str) -> Optional[str]:
+        """Load a generated-source blob (the simulator JIT's entries)."""
+        return self._read("source", key)
+
+    def put_source(self, key: str, source: str) -> bool:
+        """Store a generated-source blob atomically."""
+        return self._write("source", key, source)
+
+    def get_record(self, key: str) -> Optional[dict]:
+        """Load a JSON measurement record (the tuner's entries)."""
+        return self._read("record", key)
+
+    def put_record(self, key: str, record: dict) -> bool:
+        """Store a JSON measurement record atomically."""
+        return self._write("record", key, record)
+
+    # -- one read path, one write path ------------------------------------
+
+    def _path(self, kind: str, key: str) -> Path:
+        codec = _CODECS[kind]
+        return self.root.joinpath(codec.subdir, key[:2], key + codec.suffix)
+
+    def _read(self, kind: str, key: str):
+        """Decoded entry, or ``None`` on a miss or any disk problem.
+
+        An entry that does not decode (truncated write, stale class
+        layout, bit rot) is dropped and counted, so it is rebuilt
+        instead of ever escaping.  A hit refreshes the entry's LRU
+        position (mtime).
+        """
+        path = self._path(kind, key)
+        try:
+            blob = path.read_bytes()
+        except OSError:
+            self.stats.misses += 1
+            return None
+        try:
+            value = _CODECS[kind].decode(blob)
+        except Exception as exc:                       # noqa: BLE001
+            self.stats.corrupt_entries += 1
+            self.stats.misses += 1
+            logger.warning("dropping corrupt %s entry %s (%s: %s)", kind,
+                           path.name, type(exc).__name__, exc)
+            try:
+                path.unlink()
+            except OSError:
+                pass
+            return None
+        self.stats.hits += 1
+        try:
+            os.utime(path)
+            self.stats.touches += 1
+        except OSError:
+            pass                   # entry evicted under us: still a hit
+        return value
+
+    def _write(self, kind: str, key: str, value) -> bool:
+        """Store an entry atomically; returns whether it landed.
+
+        The blob goes to a per-process temporary file and lands with
+        ``os.replace``, so readers only ever see complete entries.  An
+        unencodable value or a disk problem (full, read-only) is a
+        counted, logged store failure, never an exception.
+        """
+        path = self._path(kind, key)
+        try:
+            blob = _CODECS[kind].encode(value)
+        except Exception as exc:                       # noqa: BLE001
+            self.stats.store_failures += 1
+            logger.warning("%s entry %s not encodable (%s: %s); not "
+                           "cached", kind, path.name, type(exc).__name__,
+                           exc)
+            return False
         tmp = path.with_name(
             f".{path.stem}.{os.getpid()}.{self._tmp_counter}.tmp")
         self._tmp_counter += 1
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_bytes(payload)
+            tmp.write_bytes(blob)
             os.replace(tmp, path)
         except OSError as exc:
             self.stats.store_failures += 1
-            logger.warning("cannot store cache entry %s (%s); "
-                           "continuing uncached", path.name, exc)
+            logger.warning("cannot store %s entry %s (%s); continuing "
+                           "uncached", kind, path.name, exc)
             try:
                 tmp.unlink()
             except OSError:
                 pass
             return False
         self.stats.stores += 1
-        self._note_store(len(payload))
+        self._note_store(len(blob))
         return True
 
     # -- size bound -----------------------------------------------------
@@ -356,8 +325,9 @@ class ArtifactCache:
     def _entries(self) -> List[Tuple[float, int, Path]]:
         """(mtime, size, path) of every entry; unreadable ones skipped."""
         entries = []
-        for pattern in ("*/*.pkl", "jit/*/*.py", "meas/*/*.json"):
-            for path in self.root.glob(pattern):
+        for codec in _CODECS.values():
+            for path in self.root.glob(
+                    str(Path(codec.subdir, "*", "*" + codec.suffix))):
                 try:
                     stat = path.stat()
                 except OSError:

@@ -5,12 +5,8 @@ One module per experiment (see DESIGN.md's experiment index); the
 and EXPERIMENTS.md records the measured-vs-paper comparison.
 """
 
-from repro.evalx.farm import (
-    CompileJob, FarmResult, VerifyJob, VerifyResult, compile_many,
-    verify_many,
-)
+from repro.evalx.farm import CompileJob, Result, VerifyJob, run_many
 from repro.evalx.table1 import Table1Row, compute_table1, format_table1
 
-__all__ = ["CompileJob", "FarmResult", "VerifyJob", "VerifyResult",
-           "compile_many", "verify_many",
+__all__ = ["CompileJob", "Result", "VerifyJob", "run_many",
            "Table1Row", "compute_table1", "format_table1"]

@@ -1,69 +1,65 @@
-"""A job farm: many compile or conformance-check jobs, one call.
+"""A job farm: many compile, conformance, shard or measurement jobs, one call.
 
 Every evaluation harness in this repository compiles the same closed
 set of DSPStone kernels against the same closed set of targets --
 Table 1, the timing bench, the retargeting matrix, the full report --
-and the conformance fuzzer runs generated programs through the same
-compiler x target x simulator matrix.  This module gives them one
-shared engine:
+and the conformance fuzzer, the campaign engine and the autotuner run
+generated programs through the same compiler x target x simulator
+matrix.  This module gives them one shared engine built on one job
+protocol:
 
-- a :class:`CompileJob` names its work by *registry key* (kernel name,
-  compiler name, target name) plus a frozen options dataclass, so a job
-  pickles in a few bytes and the worker rebuilds everything from the
-  registries;
-- a :class:`VerifyJob` does the same for a full ``check_program``
-  conformance cell-matrix: the program ships as its corpus spec form
-  (plain dicts), everything else by registry name, and the worker
-  rebuilds the program and fans it over the matrix;
-- :func:`compile_many` / :func:`verify_many` run a job list either
-  serially, on a per-call ``concurrent.futures`` process pool, or on a
-  caller-owned persistent executor (:func:`make_farm_executor`).
-  Results come back in job order in all modes (``Executor.map``
-  preserves ordering), so callers are oblivious to how the work was
-  scheduled.  Identical jobs within one submission are keyed by
-  content hash and dispatched once, the shared result fanned back out
-  to every duplicate -- a batch of N equal kernels compiles once even
-  when the artifact cache is cold;
-- a worker process keeps compilers (and, for verify jobs, the whole
-  :class:`~repro.verify.diff.VerifySession` of targets, compilers and
-  oracles) alive between jobs, so BURS label caches, memoized target
-  grammars and decode caches pay off across jobs exactly as they do in
-  a long-lived serial session -- and the persistent artifact cache
-  (:mod:`repro.cache`), when configured, is shared by every worker;
-- failures never kill the farm: a worker catches ``CompileError`` (and
-  anything else the pipeline or the harness raises) and returns it
-  *as a string* inside the result, keyed to its job, in order -- an
-  unpicklable exception object therefore never crosses the process
-  boundary.
+- a job is a frozen, picklable dataclass whose fields are its wire
+  format -- registry names, canonical JSON strings, corpus spec dicts
+  -- so it ships to a worker in a few bytes and the worker rebuilds
+  everything from the registries.  Each job has two methods:
+  ``key()``, a hashable content key (``None``: never dedup), and
+  ``run()``, which returns the job's payload and raises on failure;
+- :func:`run_job` wraps one ``run()`` into a :class:`Result` (timing,
+  and any exception turned into a string, so an unpicklable exception
+  object never crosses the process boundary);
+- :func:`run_many` runs a job list serially, on a per-call
+  ``concurrent.futures`` process pool, or on a caller-owned persistent
+  executor (:func:`make_farm_executor`).  Results come back in job
+  order in all modes, so callers are oblivious to how the work was
+  scheduled.  Jobs with equal keys are dispatched once and the shared
+  payload fanned back out to every duplicate -- a batch of N equal
+  kernels compiles once even when the artifact cache is cold;
+- a worker process keeps one :class:`~repro.verify.diff.VerifySession`
+  (targets, compilers, oracles) alive between jobs, so BURS label
+  caches, memoized target grammars and decode caches pay off across
+  jobs exactly as they do in a long-lived serial session -- and the
+  persistent artifact cache (:mod:`repro.cache`), when configured, is
+  shared by every worker.
 
 Parallelism degrades gracefully: on a single-core container, when the
 pool cannot start or dies mid-run, or for a singleton job list, the
-farm simply runs serially in-process -- same results, same order.
+farm runs serially in-process -- same results, same order; a pool
+failure is logged as a ``repro.farm`` warning.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import json
+import logging
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, \
-    TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.codegen.compiled import CompiledProgram
+logger = logging.getLogger("repro.farm")
 
-if TYPE_CHECKING:   # pragma: no cover
-    from repro.verify.diff import ProgramVerdict
 
-#: Compiler registry: name -> (factory, options default). Extended here
-#: rather than imported lazily so job validation can happen up front.
-COMPILER_NAMES = ("record", "baseline", "hand")
+def _fault(pair: Optional[Tuple[str, str]]):
+    if pair is None:
+        return None
+    from repro.selftest.generator import Fault
+    return Fault(pair[0], pair[1])
 
 
 @dataclass(frozen=True)
 class CompileJob:
-    """One unit of farm work, picklable by construction.
+    """Compile one program, picklable by construction.
 
     ``kernel``, ``compiler`` and ``target`` are registry names (see
     :func:`repro.api.available_kernels` / ``available_targets``);
@@ -71,6 +67,7 @@ class CompileJob:
     for defaults.  ``fresh`` bypasses the worker's compiler pool -- the
     job then compiles with a cold compiler instance (used as the
     uncached baseline by ``benchmarks/bench_compile_speed.py``).
+    The payload is the :class:`~repro.codegen.compiled.CompiledProgram`.
     """
 
     kernel: str
@@ -86,13 +83,167 @@ class CompileJob:
     #: two jobs carrying the same program compare equal.
     program_spec: Optional[str] = None
 
+    def key(self) -> Optional[Tuple]:
+        """Equal keys produce byte-identical artifacts.  ``fresh`` jobs
+        are cold-start *measurements*: every instance must really
+        compile, so they are never deduped."""
+        if self.fresh:
+            return None
+        return (self.kernel, self.compiler, self.target, repr(self.options),
+                self.program_spec)
+
+    def run(self):
+        """Compile on the worker's pooled compiler (a cold one for
+        ``fresh`` jobs)."""
+        from repro.verify.diff import VerifySession
+        session = VerifySession() if self.fresh else worker_session()
+        if self.compiler == "hand":
+            from repro.dspstone import hand_reference
+            return hand_reference(self.kernel, session.target(self.target))
+        if self.program_spec is not None:
+            from repro.verify.corpus import program_from_spec
+            program = program_from_spec(json.loads(self.program_spec))
+        else:
+            from repro.dspstone import kernel
+            program = kernel(self.kernel).program
+        return session.compiler(self.compiler, self.target,
+                                self.options).compile(program)
+
+
+@dataclass(frozen=True)
+class VerifyJob:
+    """One full conformance matrix check, picklable by construction.
+
+    ``program_spec`` is the corpus serialization of the lowered program
+    (:func:`repro.verify.corpus.program_to_spec` -- plain dicts);
+    ``input_sets`` the input environments to replay; ``targets`` the
+    registry names of the matrix columns; ``fault`` an optional
+    ``(original, replacement)`` decoder-fault pair; ``seed`` the
+    derived fuzzer seed recorded in the verdict.  The payload is the
+    :class:`~repro.verify.diff.ProgramVerdict`.
+    """
+
+    program_spec: dict
+    input_sets: Tuple[dict, ...]
+    targets: Tuple[str, ...] = ("tc25", "m56", "risc16", "asip")
+    fault: Optional[Tuple[str, str]] = None
+    seed: int = 0
+
+    def key(self) -> Optional[Tuple]:
+        """Content key; ``None`` for unserializable inputs, which then
+        bypass dedup rather than risking a wrong merge."""
+        try:
+            return (json.dumps(self.program_spec, sort_keys=True),
+                    json.dumps(list(self.input_sets), sort_keys=True),
+                    self.targets, self.fault, self.seed)
+        except (TypeError, ValueError):
+            return None
+
+    def run(self):
+        """Check the program across the matrix on the pooled session."""
+        from repro.verify.corpus import program_from_spec
+        from repro.verify.diff import check_program
+        return check_program(program_from_spec(self.program_spec),
+                             list(self.input_sets), targets=self.targets,
+                             fault=_fault(self.fault), seed=self.seed,
+                             session=worker_session())
+
+
+@dataclass(frozen=True)
+class ShardJob:
+    """One campaign shard: a contiguous run of conformance indices.
+
+    A shard is pure work-description -- ``(seed, start, count)`` names
+    the exact program subrange of the campaign's global index space
+    (case ``index`` is a pure function of ``(seed, index, config)``),
+    ``targets``/``inputs_per_program``/``fault`` the matrix, and
+    ``config`` the :class:`~repro.verify.progen.ProgenConfig` (a frozen
+    dataclass, picklable as-is; ``None`` for defaults).
+
+    The payload is a plain-dict digest -- the shard's deterministic
+    triage slice (the ``mismatches`` list in
+    :meth:`ConformanceReport.triage_json` shape, plus program/cell
+    tallies) and its performance counters -- so it pickles small and
+    merges deterministically whatever order shards complete in.
+    """
+
+    seed: int
+    start: int
+    count: int
+    targets: Tuple[str, ...] = ("tc25", "m56", "risc16", "asip")
+    inputs_per_program: int = 2
+    fault: Optional[Tuple[str, str]] = None
+    config: object = None
+
+    def key(self) -> "ShardJob":
+        """Every field is hashable: the shard is its own key."""
+        return self
+
+    def run(self) -> dict:
+        """Run the shard serially in this process (campaign parallelism
+        is *across* shards) against the worker's pooled session."""
+        from repro.verify.diff import run_conformance
+        report = run_conformance(
+            count=self.count, seed=self.seed, targets=self.targets,
+            inputs_per_program=self.inputs_per_program, config=self.config,
+            fault=_fault(self.fault), start=self.start,
+            session=worker_session())
+        counts = report.compile_counts()
+        return {
+            "start": self.start,
+            "count": self.count,
+            "programs": len(report.verdicts),
+            "cells": report.cells_checked,
+            "compiles": counts["compiles"],
+            "artifact_hits": counts["artifact_hits"],
+            "elapsed_seconds": round(report.elapsed_seconds, 3),
+            "mismatches": report.triage_json()["mismatches"],
+        }
+
+
+@dataclass(frozen=True)
+class MeasureJob:
+    """One autotuner measurement cell, picklable by construction.
+
+    Every ingredient travels as a *canonical JSON string* (sorted
+    keys), not a dict, so the job is its own content key and two jobs
+    measuring the same cell compare equal.  ``program_spec`` is the
+    corpus form of the program, ``options_json`` a
+    :meth:`RecordOptions.to_dict` blob, ``inputs_json`` the list of
+    input environments to accumulate cycles over, ``sim`` the
+    simulator tier to measure with.  The payload is the
+    :class:`~repro.tune.measure.Measurement`; a *compile* failure of
+    the measured configuration is not an error but a measurement with
+    an ``error`` field, so the tuner can disqualify it and go on.
+    """
+
+    program_spec: str
+    target: str = "tc25"
+    options_json: str = "{}"
+    inputs_json: str = "[]"
+    sim: str = "jit"
+
+    def key(self) -> "MeasureJob":
+        """Every field is canonical: the job is its own key."""
+        return self
+
+    def run(self):
+        """Measure the cell (through the persistent record cache)."""
+        from repro.codegen.pipeline import RecordOptions
+        from repro.tune.measure import measure_cell
+        from repro.verify.corpus import program_from_spec
+        return measure_cell(
+            program_from_spec(json.loads(self.program_spec)), self.target,
+            RecordOptions.from_dict(json.loads(self.options_json)),
+            json.loads(self.inputs_json), sim=self.sim)
+
 
 @dataclass
-class FarmResult:
-    """Outcome of one job: a compiled program or a captured error."""
+class Result:
+    """Outcome of one job: its payload or a captured error."""
 
-    job: CompileJob
-    compiled: Optional[CompiledProgram] = None
+    job: object
+    payload: object = None
     error: Optional[str] = None
     error_type: Optional[str] = None
     seconds: float = 0.0
@@ -106,313 +257,37 @@ class FarmResult:
 # Worker side
 # ----------------------------------------------------------------------
 
-# One compiler instance per (compiler, target, options) per process:
-# RecordCompiler's matcher pool and the target's grammar cache then
-# persist across every job this worker handles.
-_POOL: Dict[Tuple[str, str, str], object] = {}
+# One VerifySession per process: targets, compilers (with their label
+# caches, one per (compiler, target, options)) and oracles persist
+# across every job this process handles.
+_SESSION: List[object] = []
 
 
-def _build_compiler(job: CompileJob):
-    from repro.api import _resolve_target
-    target = _resolve_target(job.target)
-    if job.compiler == "record":
-        from repro.codegen.pipeline import RecordCompiler
-        return RecordCompiler(target, job.options)
-    if job.compiler == "baseline":
-        from repro.baseline.compiler import BaselineCompiler
-        return BaselineCompiler(target, job.options)
-    raise ValueError(f"unknown compiler {job.compiler!r}; "
-                     f"expected one of {COMPILER_NAMES}")
+def worker_session():
+    """This process's pooled :class:`~repro.verify.diff.VerifySession`."""
+    if not _SESSION:
+        from repro.verify.diff import VerifySession
+        _SESSION.append(VerifySession())
+    return _SESSION[0]
 
 
-def _compiler_for(job: CompileJob):
-    if job.fresh:
-        return _build_compiler(job)
-    key = (job.compiler, job.target, repr(job.options))
-    compiler = _POOL.get(key)
-    if compiler is None:
-        compiler = _build_compiler(job)
-        _POOL[key] = compiler
-    return compiler
+def clear_worker_session() -> None:
+    """Drop this process's pooled session (cold-start measurements)."""
+    _SESSION.clear()
 
 
-def run_job(job: CompileJob) -> FarmResult:
+def run_job(job) -> Result:
     """Execute one job; never raises -- errors travel in the result."""
     started = perf_counter()
     try:
-        if job.compiler == "hand":
-            from repro.api import _resolve_target
-            from repro.dspstone import hand_reference
-            compiled = hand_reference(job.kernel,
-                                      _resolve_target(job.target))
-        elif job.program_spec is not None:
-            from repro.verify.corpus import program_from_spec
-            program = program_from_spec(json.loads(job.program_spec))
-            compiled = _compiler_for(job).compile(program)
-        else:
-            from repro.dspstone import kernel
-            program = kernel(job.kernel).program
-            compiled = _compiler_for(job).compile(program)
-    except Exception as exc:                      # noqa: BLE001
-        return FarmResult(job=job, error=str(exc),
-                          error_type=type(exc).__name__,
-                          seconds=perf_counter() - started)
-    return FarmResult(job=job, compiled=compiled,
+        payload = job.run()
+    except Exception as exc:                          # noqa: BLE001
+        return Result(job=job, error=str(exc), error_type=type(exc).__name__,
                       seconds=perf_counter() - started)
+    return Result(job=job, payload=payload, seconds=perf_counter() - started)
 
 
-def clear_worker_pool() -> None:
-    """Drop this process's pooled compilers (cold-start measurements)."""
-    _POOL.clear()
-
-
-# ----------------------------------------------------------------------
-# Conformance-check jobs
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class VerifyJob:
-    """One full conformance matrix check, picklable by construction.
-
-    ``program_spec`` is the corpus serialization of the lowered program
-    (:func:`repro.verify.corpus.program_to_spec` -- plain dicts);
-    ``input_sets`` the input environments to replay; ``targets`` the
-    registry names of the matrix columns; ``fault`` an optional
-    ``(original, replacement)`` decoder-fault pair; ``seed`` the
-    derived fuzzer seed recorded in the verdict.
-    """
-
-    program_spec: dict
-    input_sets: Tuple[dict, ...]
-    targets: Tuple[str, ...] = ("tc25", "m56", "risc16", "asip")
-    fault: Optional[Tuple[str, str]] = None
-    seed: int = 0
-
-
-@dataclass
-class VerifyResult:
-    """Outcome of one verify job: a verdict or a captured error."""
-
-    job: VerifyJob
-    verdict: Optional["ProgramVerdict"] = None
-    error: Optional[str] = None
-    error_type: Optional[str] = None
-    seconds: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-
-@dataclass(frozen=True)
-class ShardJob:
-    """One campaign shard: a contiguous run of conformance indices.
-
-    A shard is pure work-description -- ``(seed, start, count)`` names
-    the exact program subrange of the campaign's global index space
-    (case ``index`` is a pure function of ``(seed, index, config)``),
-    ``targets``/``inputs_per_program``/``fault`` the matrix, and
-    ``config`` the :class:`~repro.verify.progen.ProgenConfig` (a frozen
-    dataclass, picklable as-is; ``None`` for defaults).  Workers run
-    the shard as a serial :func:`repro.verify.diff.run_conformance`
-    over ``[start, start + count)`` and return a plain-dict digest, so
-    the result pickles small and merges deterministically whatever
-    order shards complete in.
-    """
-
-    seed: int
-    start: int
-    count: int
-    targets: Tuple[str, ...] = ("tc25", "m56", "risc16", "asip")
-    inputs_per_program: int = 2
-    fault: Optional[Tuple[str, str]] = None
-    config: object = None
-
-
-@dataclass
-class ShardResult:
-    """Outcome of one shard: a triage digest or a captured error.
-
-    ``payload`` carries the shard's deterministic triage slice (the
-    ``mismatches`` list in :meth:`ConformanceReport.triage_json` shape,
-    plus program/cell tallies) and its performance counters (compiles,
-    artifact hits, elapsed) -- everything the campaign state file
-    checkpoints per shard.
-    """
-
-    job: ShardJob
-    payload: Optional[dict] = None
-    error: Optional[str] = None
-    error_type: Optional[str] = None
-    seconds: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-
-# ----------------------------------------------------------------------
-# Tuner measurement jobs
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MeasureJob:
-    """One autotuner measurement cell, picklable by construction.
-
-    Every ingredient travels as a *canonical JSON string* (sorted
-    keys), not a dict, so the job stays hashable and two jobs
-    measuring the same cell compare equal -- which is what lets
-    :func:`measure_many` dedup a batch the way :func:`compile_many`
-    does.  ``program_spec`` is the corpus form of the program,
-    ``options_json`` a :meth:`RecordOptions.to_dict` blob,
-    ``inputs_json`` the list of input environments to accumulate
-    cycles over, ``sim`` the simulator tier to measure with.
-    """
-
-    program_spec: str
-    target: str = "tc25"
-    options_json: str = "{}"
-    inputs_json: str = "[]"
-    sim: str = "jit"
-
-
-@dataclass
-class MeasureResult:
-    """Outcome of one measurement: a record dict or a captured error."""
-
-    job: MeasureJob
-    payload: Optional[dict] = None
-    error: Optional[str] = None
-    error_type: Optional[str] = None
-    #: Whether the cell replayed a cached record (``cached`` never
-    #: travels inside the payload -- records are canonical -- so the
-    #: flag rides alongside it).
-    cached: bool = False
-    seconds: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-
-def run_measure_job(job: MeasureJob) -> MeasureResult:
-    """Execute one measurement; never raises -- errors travel in the
-    result.  (A *compile* failure of the measured configuration is not
-    an error: it comes back as a record with an ``error`` field, so
-    the tuner can disqualify the configuration and keep searching.)"""
-    started = perf_counter()
-    try:
-        from repro.codegen.pipeline import RecordOptions
-        from repro.tune.measure import measure_cell
-        from repro.verify.corpus import program_from_spec
-        program = program_from_spec(json.loads(job.program_spec))
-        options = RecordOptions.from_dict(json.loads(job.options_json))
-        measurement = measure_cell(program, job.target, options,
-                                   json.loads(job.inputs_json),
-                                   sim=job.sim)
-    except Exception as exc:                          # noqa: BLE001
-        return MeasureResult(job=job, error=str(exc),
-                             error_type=type(exc).__name__,
-                             seconds=perf_counter() - started)
-    return MeasureResult(job=job, payload=measurement.to_json(),
-                         cached=measurement.cached,
-                         seconds=perf_counter() - started)
-
-
-def measure_job_key(job: MeasureJob) -> Tuple:
-    """Content key of a measurement job (every field is already
-    canonical, so the job tuple itself is the key)."""
-    return (job.program_spec, job.target, job.options_json,
-            job.inputs_json, job.sim)
-
-
-# One VerifySession per worker process: targets, compilers (with their
-# label caches) and oracles persist across every verify job the worker
-# handles, mirroring what _POOL does for compile jobs.
-_VERIFY_SESSION: List[object] = []
-
-
-def _verify_session():
-    if not _VERIFY_SESSION:
-        from repro.verify.diff import VerifySession
-        _VERIFY_SESSION.append(VerifySession())
-    return _VERIFY_SESSION[0]
-
-
-def clear_verify_session() -> None:
-    """Drop this process's pooled verify session (cold-start runs)."""
-    _VERIFY_SESSION.clear()
-
-
-def run_verify_job(job: VerifyJob) -> VerifyResult:
-    """Execute one job; never raises -- errors travel in the result.
-
-    Errors are stringified before they travel, so an exception type
-    that cannot pickle (or whose constructor a round-trip would choke
-    on) still reports cleanly from a worker process.
-    """
-    started = perf_counter()
-    try:
-        from repro.verify.corpus import program_from_spec
-        from repro.verify.diff import check_program
-        program = program_from_spec(job.program_spec)
-        fault = None
-        if job.fault is not None:
-            from repro.selftest.generator import Fault
-            fault = Fault(job.fault[0], job.fault[1])
-        verdict = check_program(program, list(job.input_sets),
-                                targets=job.targets, fault=fault,
-                                seed=job.seed,
-                                session=_verify_session())
-    except Exception as exc:                          # noqa: BLE001
-        return VerifyResult(job=job, error=str(exc),
-                            error_type=type(exc).__name__,
-                            seconds=perf_counter() - started)
-    return VerifyResult(job=job, verdict=verdict,
-                        seconds=perf_counter() - started)
-
-
-def run_shard_job(job: ShardJob) -> ShardResult:
-    """Execute one campaign shard; never raises.
-
-    The shard runs serially inside this process (campaign parallelism
-    is *across* shards), against the worker's pooled
-    :class:`~repro.verify.diff.VerifySession` and whatever artifact
-    cache :func:`_verify_worker_init` configured, so consecutive shards
-    in one worker stay warm exactly like consecutive verify jobs do.
-    """
-    started = perf_counter()
-    try:
-        from repro.verify.diff import run_conformance
-        fault = None
-        if job.fault is not None:
-            from repro.selftest.generator import Fault
-            fault = Fault(job.fault[0], job.fault[1])
-        report = run_conformance(
-            count=job.count, seed=job.seed, targets=job.targets,
-            inputs_per_program=job.inputs_per_program, config=job.config,
-            fault=fault, start=job.start, session=_verify_session())
-        counts = report.compile_counts()
-        payload = {
-            "start": job.start,
-            "count": job.count,
-            "programs": len(report.verdicts),
-            "cells": report.cells_checked,
-            "compiles": counts["compiles"],
-            "artifact_hits": counts["artifact_hits"],
-            "elapsed_seconds": round(report.elapsed_seconds, 3),
-            "mismatches": report.triage_json()["mismatches"],
-        }
-    except Exception as exc:                          # noqa: BLE001
-        return ShardResult(job=job, error=str(exc),
-                           error_type=type(exc).__name__,
-                           seconds=perf_counter() - started)
-    return ShardResult(job=job, payload=payload,
-                       seconds=perf_counter() - started)
-
-
-def _verify_worker_init(cache_dir: Optional[str],
-                        cache_max_bytes: Optional[int]) -> None:
+def _worker_init(cache_dir: Optional[str], max_bytes: Optional[int]) -> None:
     """Pool initializer: point the worker at the shared artifact cache.
 
     Explicit (rather than relying on fork inheriting the parent's
@@ -421,9 +296,16 @@ def _verify_worker_init(cache_dir: Optional[str],
     """
     if cache_dir:
         import repro.cache
-        repro.cache.configure(
-            cache_dir,
-            max_bytes=cache_max_bytes or repro.cache.DEFAULT_MAX_BYTES)
+        repro.cache.configure(cache_dir, max_bytes=max_bytes)
+
+
+def _pool_kwargs() -> dict:
+    """Process-pool arguments that share the driver's active cache."""
+    from repro.cache import active_cache
+    active = active_cache()
+    return {"initializer": _worker_init,
+            "initargs": ((str(active.root), active.max_bytes)
+                         if active is not None else (None, None))}
 
 
 # ----------------------------------------------------------------------
@@ -456,40 +338,34 @@ def default_workers() -> int:
     return max(1, min(os.cpu_count() or 1, 8))
 
 
-def compile_job_key(job: CompileJob) -> Tuple:
-    """Content key of a compile job: two jobs with equal keys produce
-    byte-identical artifacts (registry names are stable and
-    ``program_spec`` is canonical JSON), so a batch dispatches each
-    key once.  ``fresh`` jobs are cold-start *measurements* -- each
-    instance must really compile, so every one gets a unique key."""
-    if job.fresh:
-        return ("fresh", id(job))
-    return (job.kernel, job.compiler, job.target, repr(job.options),
-            job.program_spec)
+def run_many(jobs: Sequence,
+             parallel: Optional[bool] = None,
+             max_workers: Optional[int] = None,
+             executor: Optional[concurrent.futures.Executor] = None
+             ) -> List[Result]:
+    """Run all jobs; results are returned in job order.
 
+    Jobs with equal ``key()`` are dispatched **once** and the single
+    payload is fanned back out to every duplicate (each still gets its
+    own :class:`Result` carrying its own job); a ``None`` key always
+    runs.
 
-def verify_job_key(job: VerifyJob) -> Tuple:
-    """Content key of a verify job (``None`` for unserializable inputs,
-    which then bypass dedup rather than risking a wrong merge)."""
-    try:
-        return (json.dumps(job.program_spec, sort_keys=True),
-                json.dumps(list(job.input_sets), sort_keys=True),
-                job.targets, job.fault, job.seed)
-    except (TypeError, ValueError):
-        return None
-
-
-def _dedup(jobs: Sequence, key_of: Callable) -> Tuple[List, List[int]]:
-    """Collapse duplicate jobs: (unique jobs, slot index per input job).
-
-    First occurrence wins the slot; an unkeyable job (``key_of``
-    returns ``None``) always gets its own slot.
+    Scheduling ladder: a caller-owned persistent ``executor`` (the
+    long-running compile service keeps one warm across batches), else
+    a per-call process pool, else serial in-process.  ``parallel=None``
+    auto-detects a pool when there is more than one worker and more
+    than one unique job; ``parallel=True`` requests one.  Any pool
+    failure -- refusal to start, death mid-run -- is logged and the
+    whole list recomputed on the next rung, which is safe because jobs
+    are pure functions of their fields: results are identical either
+    way, only the wall clock differs.
     """
+    jobs = list(jobs)
     unique: List = []
-    slots: Dict[Tuple, int] = {}
+    slots: Dict[object, int] = {}
     indices: List[int] = []
     for job in jobs:
-        key = key_of(job)
+        key = job.key()
         slot = slots.get(key) if key is not None else None
         if slot is None:
             slot = len(unique)
@@ -497,173 +373,45 @@ def _dedup(jobs: Sequence, key_of: Callable) -> Tuple[List, List[int]]:
             if key is not None:
                 slots[key] = slot
         indices.append(slot)
-    return unique, indices
 
-
-def _fan_out(jobs: Sequence, indices: List[int], results: List) -> List:
-    """Expand unique-job results back to one result per input job.
-
-    Duplicates share the payload (compiled program / verdict) but get
-    their own result object, so callers may annotate results freely.
-    """
+    results = None
+    if executor is not None:
+        try:
+            results = list(executor.map(run_job, unique))
+        except Exception as exc:                   # noqa: BLE001
+            logger.warning("farm executor failed (%s: %s); retrying "
+                           "without it", type(exc).__name__, exc)
+    workers = max_workers if max_workers is not None else default_workers()
+    if results is None and parallel is not False and len(unique) > 1 \
+            and workers > 1:
+        try:
+            with concurrent.futures.ProcessPoolExecutor(
+                    max_workers=min(workers, len(unique)),
+                    **_pool_kwargs()) as pool:
+                results = list(pool.map(run_job, unique))
+        except Exception as exc:                   # noqa: BLE001
+            logger.warning("farm process pool failed (%s: %s); running "
+                           "serially", type(exc).__name__, exc)
+    if results is None:
+        results = [run_job(job) for job in unique]
     return [replace(results[slot], job=job)
             for job, slot in zip(jobs, indices)]
 
 
-def _run_pool(jobs: Sequence, worker: Callable,
-              parallel: Optional[bool], workers: int,
-              executor: Optional[concurrent.futures.Executor],
-              pool_kwargs: dict) -> List:
-    """Shared scheduling core: persistent executor > fresh pool > serial.
-
-    Any pool failure (refusal to start, death mid-run) falls back to
-    recomputing the whole list serially -- safe because jobs are pure
-    functions of their specs.
-    """
-    if executor is not None:
-        try:
-            return list(executor.map(worker, jobs))
-        except Exception:                          # noqa: BLE001
-            pass
-    if parallel is None:
-        parallel = workers > 1 and len(jobs) > 1
-    if parallel and len(jobs) > 1 and workers > 1:
-        try:
-            with concurrent.futures.ProcessPoolExecutor(
-                    max_workers=min(workers, len(jobs)),
-                    **pool_kwargs) as pool:
-                return list(pool.map(worker, jobs))
-        except Exception:                          # noqa: BLE001
-            pass          # pool refused to start or died: run serially
-    return [worker(job) for job in jobs]
-
-
-def compile_many(jobs: Sequence[CompileJob],
-                 parallel: Optional[bool] = None,
-                 max_workers: Optional[int] = None,
-                 executor: Optional[concurrent.futures.Executor] = None
-                 ) -> List[FarmResult]:
-    """Run all jobs; results are returned in job order.
-
-    Identical jobs within one submission are dispatched **once**: jobs
-    are keyed by content (:func:`compile_job_key`) and the single
-    result is fanned back out to every duplicate, so a batch holding
-    the same kernel N times compiles it once even with a cold cache.
-    ``fresh`` jobs are exempt (they exist to measure cold compiles).
-
-    ``parallel=None`` auto-detects: a process pool when the machine has
-    more than one core and there is more than one (unique) job, serial
-    otherwise.  ``parallel=True`` requests a pool but still falls back
-    to serial execution when the pool cannot be started (restricted
-    environments, missing fork support) -- the results are identical
-    either way, only the wall clock differs.  ``executor`` substitutes
-    a caller-owned persistent pool (the long-running compile service
-    keeps one warm across batches) for the per-call pool.
-    """
-    jobs = list(jobs)
-    unique, indices = _dedup(jobs, compile_job_key)
-    workers = max_workers if max_workers is not None else default_workers()
-    results = _run_pool(unique, run_job, parallel, workers, executor, {})
-    return _fan_out(jobs, indices, results)
-
-
-def verify_many(jobs: Sequence[VerifyJob],
-                parallel: Optional[bool] = None,
-                max_workers: Optional[int] = None,
-                cache_dir: Optional[object] = None,
-                cache_max_bytes: Optional[int] = None,
-                executor: Optional[concurrent.futures.Executor] = None
-                ) -> List[VerifyResult]:
-    """Run conformance jobs; results are returned in job order.
-
-    Scheduling and batch-level dedup rules match :func:`compile_many`
-    (content keys from :func:`verify_job_key`; duplicates share one
-    verdict).  Workers are pointed at ``cache_dir`` (default: the
-    driver's active :mod:`repro.cache` directory, if any), so all
-    processes share one persistent artifact store; a caller-owned
-    ``executor`` is assumed to have been initialized the same way (see
-    :func:`make_farm_executor`).
-    """
-    jobs = list(jobs)
-    unique, indices = _dedup(jobs, verify_job_key)
-    workers = max_workers if max_workers is not None else default_workers()
-    if cache_dir is None:
-        from repro.cache import active_cache
-        active = active_cache()
-        if active is not None:
-            cache_dir = active.root
-            if cache_max_bytes is None:
-                cache_max_bytes = active.max_bytes
-    pool_kwargs = {
-        "initializer": _verify_worker_init,
-        "initargs": (str(cache_dir) if cache_dir else None,
-                     cache_max_bytes),
-    }
-    results = _run_pool(unique, run_verify_job, parallel, workers,
-                        executor, pool_kwargs)
-    return _fan_out(jobs, indices, results)
-
-
-def measure_many(jobs: Sequence[MeasureJob],
-                 parallel: Optional[bool] = None,
-                 max_workers: Optional[int] = None,
-                 cache_dir: Optional[object] = None,
-                 cache_max_bytes: Optional[int] = None,
-                 executor: Optional[concurrent.futures.Executor] = None
-                 ) -> List[MeasureResult]:
-    """Run tuner measurement jobs; results come back in job order.
-
-    Scheduling, batch dedup and worker cache initialization all match
-    :func:`verify_many`: identical cells measure once per batch, every
-    worker shares the driver's persistent artifact cache (compiles hit
-    it; measurement records land in it), and any pool failure falls
-    back to serial execution with identical results.
-    """
-    jobs = list(jobs)
-    unique, indices = _dedup(jobs, measure_job_key)
-    workers = max_workers if max_workers is not None else default_workers()
-    if cache_dir is None:
-        from repro.cache import active_cache
-        active = active_cache()
-        if active is not None:
-            cache_dir = active.root
-            if cache_max_bytes is None:
-                cache_max_bytes = active.max_bytes
-    pool_kwargs = {
-        "initializer": _verify_worker_init,
-        "initargs": (str(cache_dir) if cache_dir else None,
-                     cache_max_bytes),
-    }
-    results = _run_pool(unique, run_measure_job, parallel, workers,
-                        executor, pool_kwargs)
-    return _fan_out(jobs, indices, results)
-
-
-def make_farm_executor(max_workers: Optional[int] = None,
-                       cache_dir: Optional[object] = None,
-                       cache_max_bytes: Optional[int] = None
+def make_farm_executor(max_workers: Optional[int] = None
                        ) -> Optional[concurrent.futures.Executor]:
     """A persistent process pool suitable for ``executor=`` arguments.
 
-    Workers are initialized against the shared artifact cache exactly
-    like :func:`verify_many`'s per-call pools.  Returns ``None`` when
-    process pools are unavailable (the caller then lets each
-    ``compile_many`` call fall back to serial in-process execution).
+    Workers are initialized against the driver's active artifact cache
+    exactly like :func:`run_many`'s per-call pools, so configure the
+    cache first.  Returns ``None`` when process pools are unavailable
+    (the caller then lets each :func:`run_many` call fall back to
+    serial in-process execution).
     """
     workers = max_workers if max_workers is not None else default_workers()
-    if cache_dir is None:
-        from repro.cache import active_cache
-        active = active_cache()
-        if active is not None:
-            cache_dir = active.root
-            if cache_max_bytes is None:
-                cache_max_bytes = active.max_bytes
     try:
         pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_verify_worker_init,
-            initargs=(str(cache_dir) if cache_dir else None,
-                      cache_max_bytes))
+            max_workers=workers, **_pool_kwargs())
         # Force worker start-up now so failures surface here, not on
         # the first batch.
         pool.submit(os.getpid).result(timeout=60)

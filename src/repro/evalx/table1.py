@@ -94,15 +94,15 @@ def _farm_builds(specs, record_options: Optional[RecordOptions],
                  parallel: Optional[bool],
                  tuning_db=None) -> Dict[str, Dict[str, object]]:
     """Compile every (kernel, compiler) cell through the compile farm."""
-    from repro.evalx.farm import CompileJob, compile_many
+    from repro.evalx import farm
     jobs = []
     for spec in specs:
-        jobs.append(CompileJob(kernel=spec.name, compiler="baseline"))
-        jobs.append(CompileJob(
+        jobs.append(farm.CompileJob(kernel=spec.name, compiler="baseline"))
+        jobs.append(farm.CompileJob(
             kernel=spec.name, compiler="record",
             options=_record_options_for(spec, record_options,
                                         tuning_db)))
-    results = compile_many(jobs, parallel=parallel)
+    results = farm.run_many(jobs, parallel=parallel)
     built: Dict[str, Dict[str, object]] = {}
     for result in results:
         if not result.ok:
@@ -111,7 +111,7 @@ def _farm_builds(specs, record_options: Optional[RecordOptions],
                 f"({result.job.compiler}): [{result.error_type}] "
                 f"{result.error}")
         built.setdefault(result.job.kernel, {})[result.job.compiler] = \
-            result.compiled
+            result.payload
     return built
 
 

@@ -69,8 +69,7 @@ class Batcher:
     """Window-batched dispatch of keyed jobs onto a runner.
 
     ``runner`` takes the job list of one batch and returns results in
-    job order (:func:`repro.evalx.farm.compile_many` and
-    :func:`~repro.evalx.farm.verify_many` both qualify); it runs on
+    job order (:func:`repro.evalx.farm.run_many` qualifies); it runs on
     the event loop's default thread executor so a slow batch never
     blocks request intake.
     """

@@ -14,8 +14,8 @@ Every layer reuses an existing subsystem: keys come from
 :meth:`repro.cache.ArtifactCache.key_for` (so the hot-path question
 "have we compiled this?" is answered by the same store the farm
 workers populate), cold work goes through
-:func:`repro.evalx.farm.compile_many` / ``verify_many`` (which dedup
-within a batch and keep per-worker compiler pools warm), and
+:func:`repro.evalx.farm.run_many` (which dedups within a batch and
+keeps per-worker compiler pools warm), and
 simulation uses the tiered :func:`repro.sim.harness.run_compiled`.
 
 The server speaks the newline-delimited JSON protocol of
@@ -39,8 +39,7 @@ from typing import Dict, Optional, Tuple
 
 import repro.cache
 from repro.evalx.farm import (
-    CompileJob, VerifyJob, compile_many, default_workers,
-    make_farm_executor, verify_many,
+    CompileJob, VerifyJob, default_workers, make_farm_executor, run_many,
 )
 from repro.serve.batcher import Batcher
 from repro.serve.protocol import (
@@ -135,19 +134,13 @@ class CompileService:
             cache_dir,
             max_bytes=cache_max_bytes or repro.cache.DEFAULT_MAX_BYTES)
         self.workers = workers if workers is not None else default_workers()
-        self.pool = make_farm_executor(self.workers, cache_dir,
-                                       cache_max_bytes) if use_pool \
-            else None
-        self.compile_batcher = Batcher(
-            partial(compile_many, executor=self.pool,
-                    parallel=self.pool is not None),
-            window=window, max_batch=max_batch)
-        self.verify_batcher = Batcher(
-            partial(verify_many, executor=self.pool,
-                    parallel=self.pool is not None,
-                    cache_dir=cache_dir,
-                    cache_max_bytes=cache_max_bytes),
-            window=window, max_batch=max_batch)
+        self.pool = make_farm_executor(self.workers) if use_pool else None
+        farm = partial(run_many, executor=self.pool,
+                       parallel=self.pool is not None)
+        self.compile_batcher = Batcher(farm, window=window,
+                                       max_batch=max_batch)
+        self.verify_batcher = Batcher(farm, window=window,
+                                      max_batch=max_batch)
         self.stats = ServeStats()
         self.started = perf_counter()
         self._shutdown = asyncio.Event()
@@ -400,7 +393,7 @@ class CompileService:
             await self.compile_batcher.submit(None, job)
         if not result.ok:
             raise ServeError(f"{result.error_type}: {result.error}")
-        return result.compiled, queue_s, run_s
+        return result.payload, queue_s, run_s
 
     async def _verify(self, request: Request) -> dict:
         timings: Dict[str, float] = {"queue": 0.0, "dedup": 0.0,
@@ -426,7 +419,7 @@ class CompileService:
         timings["compile"] = run_s
         if not result.ok:
             raise ServeError(f"{result.error_type}: {result.error}")
-        verdict = result.verdict
+        verdict = result.payload
         payload = {
             "name": verdict.name,
             "ok": verdict.ok,

@@ -37,6 +37,7 @@ views), so warm processes skip code generation entirely and only pay
 from __future__ import annotations
 
 import hashlib
+import logging
 from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.codegen.asm import CodeSeq
@@ -44,6 +45,8 @@ from repro.sim.decode import DecodedProgram, decode_cached
 from repro.sim.fastmachine import FastMachine
 from repro.sim.machine import Machine, MachineState, SimulationError
 from repro.sim.trace import Trace
+
+logger = logging.getLogger("repro.sim.jit")
 
 if TYPE_CHECKING:   # pragma: no cover
     from repro.targets.model import TargetModel
@@ -728,8 +731,12 @@ def _translate(target: "TargetModel",
                 program = _load(source, target, decoded, memsize)
                 _STATS["source_cache_hits"] += 1
                 return program
-            except Exception:
-                pass    # stale or corrupt: regenerate below
+            except Exception as exc:                   # noqa: BLE001
+                # Stale or corrupt: regenerate below, which overwrites
+                # the entry.
+                logger.warning("cached jit source %s does not load "
+                               "(%s: %s); regenerating", key,
+                               type(exc).__name__, exc)
     _STATS["source_cache_misses"] += 1
     source = _generate(target, decoded, memsize)
     if cache is not None:

@@ -29,7 +29,6 @@ fresh simulations (``tests/tune/test_measure.py`` pins this).
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
@@ -99,31 +98,26 @@ def measurement_key(program, target_name: str, options: RecordOptions,
                     sim: str = "jit") -> Optional[str]:
     """Content key of one measurement cell (``None``: uncacheable).
 
-    Mirrors :meth:`repro.cache.ArtifactCache.key_for`: the program in
+    The :func:`repro.cache.content_key` recipe over the program in
     corpus spec form, the options through the canonical
-    :func:`~repro.cache.options_payload` normalization, plus the input
-    environments, the simulator tier and the code-version stamp.
+    :func:`~repro.cache.options_payload` normalization, the input
+    environments and the simulator tier.
     """
-    from repro.cache import code_version, options_payload
+    from repro.cache import content_key, options_payload
     from repro.verify.corpus import program_to_spec
-    try:
-        payload = json.dumps({
-            "format": RECORD_FORMAT,
-            "kind": "measurement",
-            "program": program_to_spec(program),
-            "target": target_name,
-            "options": options_payload(options),
-            "inputs": list(input_sets),
-            "sim": sim,
-            "code": code_version(),
-        }, sort_keys=True)
-    except Exception:                                  # noqa: BLE001
-        return None
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return content_key(lambda: {
+        "format": RECORD_FORMAT,
+        "kind": "measurement",
+        "program": program_to_spec(program),
+        "target": target_name,
+        "options": options_payload(options),
+        "inputs": list(input_sets),
+        "sim": sim,
+    })
 
 
 # ----------------------------------------------------------------------
-# Per-process pools (mirror repro.evalx.farm._POOL / _VERIFY_SESSION)
+# Per-process pools (mirror repro.evalx.farm.worker_session)
 # ----------------------------------------------------------------------
 
 _TARGETS: Dict[str, object] = {}

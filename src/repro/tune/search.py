@@ -144,7 +144,7 @@ def _measure_batch(program, target_name: str,
         except Exception:                              # noqa: BLE001
             spec_blob = None
     if spec_blob is not None:
-        from repro.evalx.farm import MeasureJob, measure_many
+        from repro.evalx.farm import MeasureJob, run_many
         measure_jobs = [
             MeasureJob(program_spec=spec_blob, target=target_name,
                        options_json=json.dumps(options.to_dict(),
@@ -152,18 +152,12 @@ def _measure_batch(program, target_name: str,
                        inputs_json=inputs_blob, sim=sim)
             for options in candidates
         ]
-        results = measure_many(measure_jobs, max_workers=jobs)
-        measurements: List[Measurement] = []
-        for options, result in zip(candidates, results):
-            if result.ok:
-                measurements.append(
-                    Measurement.from_json(result.payload,
-                                          cached=result.cached))
-            else:
-                measurements.append(Measurement(
-                    target=target_name, options=options.to_dict(),
-                    error=result.error, error_type=result.error_type))
-        return measurements
+        results = run_many(measure_jobs, max_workers=jobs)
+        return [
+            result.payload if result.ok else Measurement(
+                target=target_name, options=options.to_dict(),
+                error=result.error, error_type=result.error_type)
+            for options, result in zip(candidates, results)]
     return [measure_cell(program, target_name, options, input_sets,
                          sim=sim)
             for options in candidates]

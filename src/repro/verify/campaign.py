@@ -298,7 +298,7 @@ def _shard_job(config: CampaignConfig, shard: dict):
 
 
 def _fold_result(shard: dict, result) -> None:
-    """Merge one ShardResult into its state record."""
+    """Merge one shard's farm result into its state record."""
     if result.ok:
         shard.update(result.payload)
         shard["status"] = "done"
@@ -400,22 +400,14 @@ def run_campaign(config: CampaignConfig,
                 f"{len(state['classes'])} classes")
 
     jobs = max(1, int(jobs))
-    if jobs > 1 and len(pending) > 1:
-        _run_shards_parallel(config, state, pending, jobs, out_of_budget,
-                             note_shard, result, farm)
+    executor = (farm.make_farm_executor(max_workers=min(jobs, len(pending)))
+                if jobs > 1 and len(pending) > 1 else None)
+    if executor is not None:
+        _run_shards_parallel(config, pending, jobs, out_of_budget,
+                             note_shard, result, executor)
     else:
-        for shard in pending:
-            if out_of_budget():
-                result.budget_exhausted = True
-                break
-            _fold_result(shard, farm.run_shard_job(_shard_job(config,
-                                                              shard)))
-            if shard["status"] != "done":
-                result.errors.append(
-                    f"shard {shard['index']}: {shard['error']}")
-            note_shard(shard)
-            if result.errors:
-                break
+        _run_shards_serial(config, pending, out_of_budget, note_shard,
+                           result)
 
     if out_of_budget() and not result.complete:
         result.budget_exhausted = True
@@ -434,41 +426,43 @@ def run_campaign(config: CampaignConfig,
     return result
 
 
-def _run_shards_parallel(config: CampaignConfig, state: dict,
-                         pending: List[dict], jobs: int,
-                         out_of_budget: Callable[[], bool],
+def _run_shards_serial(config: CampaignConfig, pending: List[dict],
+                       out_of_budget: Callable[[], bool],
+                       note_shard: Callable[[dict], None],
+                       result: CampaignResult) -> None:
+    """Run shards one by one in this process, checkpointing each."""
+    from repro.evalx import farm
+    for shard in pending:
+        if out_of_budget():
+            result.budget_exhausted = True
+            break
+        _fold_result(shard, farm.run_job(_shard_job(config, shard)))
+        if shard["status"] != "done":
+            result.errors.append(f"shard {shard['index']}: {shard['error']}")
+        note_shard(shard)
+        if result.errors:
+            break
+
+
+def _run_shards_parallel(config: CampaignConfig, pending: List[dict],
+                         jobs: int, out_of_budget: Callable[[], bool],
                          note_shard: Callable[[dict], None],
-                         result: CampaignResult, farm) -> None:
+                         result: CampaignResult, executor) -> None:
     """Dispatch shards onto a farm pool, checkpointing per completion.
 
     At most ``jobs`` shards are in flight; completions are folded (and
     the state file replaced) as they land, in *any* order -- the merge
     sorts by shard index, so completion order cannot leak into the
-    triage.  Pool startup failure degrades to the serial loop.
+    triage.
     """
-    executor = farm.make_farm_executor(
-        max_workers=min(jobs, len(pending)))
-    if executor is None:
-        for shard in pending:
-            if out_of_budget():
-                result.budget_exhausted = True
-                break
-            _fold_result(shard, farm.run_shard_job(_shard_job(config,
-                                                              shard)))
-            if shard["status"] != "done":
-                result.errors.append(
-                    f"shard {shard['index']}: {shard['error']}")
-            note_shard(shard)
-            if result.errors:
-                break
-        return
+    from repro.evalx import farm
     try:
         queue = list(pending)
         in_flight = {}
         while queue and len(in_flight) < jobs and not out_of_budget():
             shard = queue.pop(0)
             in_flight[executor.submit(
-                farm.run_shard_job, _shard_job(config, shard))] = shard
+                farm.run_job, _shard_job(config, shard))] = shard
         if queue and out_of_budget():
             result.budget_exhausted = True
         while in_flight:
@@ -493,8 +487,7 @@ def _run_shards_parallel(config: CampaignConfig, state: dict,
             while queue and len(in_flight) < jobs:
                 shard = queue.pop(0)
                 in_flight[executor.submit(
-                    farm.run_shard_job,
-                    _shard_job(config, shard))] = shard
+                    farm.run_job, _shard_job(config, shard))] = shard
     finally:
         executor.shutdown(wait=False, cancel_futures=True)
 

@@ -132,11 +132,11 @@ def compilers_for(target_name: str) -> Tuple[str, ...]:
     return ("record",)
 
 
-def _make_compiler(name: str, target):
+def _make_compiler(name: str, target, options=None):
     if name == "record":
-        return RecordCompiler(target)
+        return RecordCompiler(target, options)
     if name == "baseline":
-        return BaselineCompiler(target)
+        return BaselineCompiler(target, options)
     raise ValueError(f"unknown compiler {name!r}")
 
 
@@ -160,7 +160,7 @@ class VerifySession:
 
     def __init__(self):
         self._targets: Dict[str, object] = {}
-        self._compilers: Dict[Tuple[str, str], object] = {}
+        self._compilers: Dict[Tuple[str, str, str], object] = {}
         self._oracles: Dict[int, Oracle] = {}
 
     def target(self, name: str):
@@ -171,13 +171,15 @@ class VerifySession:
             self._targets[name] = target
         return target
 
-    def compiler(self, compiler_name: str, target_name: str):
-        """The pooled compiler instance for a matrix column."""
-        key = (compiler_name, target_name)
+    def compiler(self, compiler_name: str, target_name: str,
+                 options=None):
+        """The pooled compiler instance for a matrix column (one per
+        ``repr(options)``; ``None`` means the compiler's defaults)."""
+        key = (compiler_name, target_name, repr(options))
         compiler = self._compilers.get(key)
         if compiler is None:
             compiler = _make_compiler(compiler_name,
-                                      self.target(target_name))
+                                      self.target(target_name), options)
             self._compilers[key] = compiler
         return compiler
 
@@ -560,7 +562,7 @@ def run_conformance(count: int = 20,
 
     ``budget_seconds`` stops the loop early (the report records that it
     did).  ``jobs > 1`` fans the per-program matrix checks out over a
-    worker-process pool (:func:`repro.evalx.farm.verify_many`); triage
+    worker-process pool (:func:`repro.evalx.farm.run_many`); triage
     results come back in program order, so the triage report is
     identical to a serial run -- only the wall clock changes.  When the
     pool cannot start, the fan-out silently degrades to the serial
@@ -619,18 +621,18 @@ def _run_conformance_parallel(report: ConformanceReport, started: float,
                               fault, on_program: Optional[Callable],
                               jobs: int, start: int = 0) -> None:
     """Fan program checks out to farm workers, aggregating in job order."""
-    from repro.evalx.farm import VerifyJob, verify_many
+    from repro.evalx import farm
     from repro.verify.corpus import program_to_spec
 
     cases = [_generate_case(seed, index, inputs_per_program, config)
              for index in range(start, start + count)]
     job_list = [
-        VerifyJob(program_spec=program_to_spec(program),
-                  input_sets=tuple(input_sets),
-                  targets=tuple(targets),
-                  fault=((fault.original, fault.replacement)
-                         if fault is not None else None),
-                  seed=program_seed)
+        farm.VerifyJob(program_spec=program_to_spec(program),
+                       input_sets=tuple(input_sets),
+                       targets=tuple(targets),
+                       fault=((fault.original, fault.replacement)
+                              if fault is not None else None),
+                       seed=program_seed)
         for program_seed, program, input_sets in cases]
 
     # With a wall-clock budget the work is scheduled in chunks so the
@@ -642,16 +644,16 @@ def _run_conformance_parallel(report: ConformanceReport, started: float,
                 and time.monotonic() - started > budget_seconds:
             report.budget_exhausted = True
             break
-        results = verify_many(job_list[start:start + chunk],
-                              max_workers=jobs)
+        results = farm.run_many(job_list[start:start + chunk],
+                                max_workers=jobs)
         for offset, result in enumerate(results):
-            if result.verdict is None:
+            if not result.ok:
                 _program_seed, program, _inputs = cases[start + offset]
                 raise RuntimeError(
                     f"conformance worker failed on {program.name} "
                     f"(seed {job_list[start + offset].seed}): "
                     f"{result.error_type}: {result.error}")
-            report.verdicts.append(result.verdict)
+            report.verdicts.append(result.payload)
             if on_program is not None:
                 _seed, program, input_sets = cases[start + offset]
-                on_program(program, input_sets, result.verdict)
+                on_program(program, input_sets, result.payload)

@@ -127,7 +127,7 @@ def test_corrupt_entry_degrades_to_miss(cache, caplog, garbage):
     program = _program()
     key = cache.key_for(program, "record", RecordOptions(), "tc25")
     cache.put(key, _fresh_compile(program))
-    path = cache._path(key)
+    path = cache._path("artifact", key)
     path.write_bytes(garbage)
     with caplog.at_level(logging.WARNING, logger="repro.cache"):
         assert cache.get(key) is None
@@ -140,10 +140,70 @@ def test_truncated_entry_degrades_to_miss(cache):
     program = _program()
     key = cache.key_for(program, "record", RecordOptions(), "tc25")
     cache.put(key, _fresh_compile(program))
-    path = cache._path(key)
+    path = cache._path("artifact", key)
     path.write_bytes(path.read_bytes()[:50])
     assert cache.get(key) is None
     assert cache.stats.corrupt_entries == 1
+
+
+def _unpicklable_artifact():
+    compiled = _fresh_compile(_program())
+    compiled.stats["opaque"] = lambda: None
+    return compiled
+
+
+# One (kind, store, load, valid value, corrupt blob, unencodable value)
+# row per codec: every codec shares the read and write paths.
+_CODEC_CASES = {
+    "artifact": ("put", "get", lambda: _fresh_compile(_program()),
+                 b"\x80\x04truncated pickle", _unpicklable_artifact),
+    "source": ("put_source", "get_source", lambda: "x = 1\n",
+               b"\xff\xfe not utf-8 \xc3", lambda: "\ud800"),
+    "record": ("put_record", "get_record", lambda: {"cycles": [1, 2]},
+               b'{"cycles": [1, 2', lambda: {"opaque": object()}),
+}
+
+
+@pytest.fixture(params=sorted(_CODEC_CASES))
+def codec(request):
+    return (request.param,) + _CODEC_CASES[request.param]
+
+
+def test_codec_corrupt_entry_is_dropped(cache, caplog, codec):
+    kind, put, get, valid, garbage, _unencodable = codec
+    key = "ab" + "1" * 62
+    assert getattr(cache, put)(key, valid())
+    path = cache._path(kind, key)
+    path.write_bytes(garbage)
+    with caplog.at_level(logging.WARNING, logger="repro.cache"):
+        assert getattr(cache, get)(key) is None
+    assert cache.stats.corrupt_entries == 1
+    assert any("corrupt" in record.message for record in caplog.records)
+    assert not path.exists(), "a corrupt entry must be dropped"
+
+
+def test_codec_full_disk_during_put(cache, monkeypatch, codec):
+    import errno
+    import os
+    _kind, put, get, valid, _garbage, _unencodable = codec
+
+    def disk_full(src, dst):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", disk_full)
+    key = "cd" + "2" * 62
+    assert getattr(cache, put)(key, valid()) is False
+    assert cache.stats.store_failures == 1
+    assert not list(cache.root.rglob("*.tmp"))
+    assert getattr(cache, get)(key) is None
+
+
+def test_codec_unencodable_value_is_not_stored(cache, codec):
+    _kind, put, _get, _valid, _garbage, unencodable = codec
+    key = "ef" + "3" * 62
+    assert getattr(cache, put)(key, unencodable()) is False
+    assert cache.stats.store_failures == 1
+    assert cache.entry_count() == 0
 
 
 def test_unwritable_root_does_not_crash(tmp_path):
@@ -173,7 +233,7 @@ def test_size_bound_evicts_oldest_first(cache):
         cache.put(key, _fresh_compile(program, target))
         keys.append(key)
         # Spread mtimes so "oldest" is well-defined on coarse clocks.
-        os.utime(cache._path(key), (seed, seed))
+        os.utime(cache._path("artifact", key), (seed, seed))
     assert cache.total_bytes() <= cache.max_bytes
     assert cache.stats.evictions > 0
     assert cache.get(keys[-1]) is not None, "newest entry must survive"
@@ -188,11 +248,11 @@ def test_read_hits_touch_mtime_and_are_counted(cache):
     key = cache.key_for(program, "record", RecordOptions(), "tc25")
     cache.put(key, _fresh_compile(program))
     stale = 1_000_000_000             # far in the past
-    os.utime(cache._path(key), (stale, stale))
+    os.utime(cache._path("artifact", key), (stale, stale))
 
     assert cache.get(key) is not None
     assert cache.stats.touches == 1
-    assert cache._path(key).stat().st_mtime > stale, \
+    assert cache._path("artifact", key).stat().st_mtime > stale, \
         "hit must refresh the entry's eviction clock"
 
     assert cache.get("ff" + "0" * 62) is None

@@ -1,17 +1,22 @@
 """The compile farm: serial and parallel runs are indistinguishable.
 
-``compile_many`` promises result lists in job order with identical
+``run_many`` promises result lists in job order with identical
 contents whether the jobs ran in-process or on a process pool, and that
-a failing job travels back as a :class:`FarmResult` error instead of
+a failing job travels back as a :class:`Result` error instead of
 killing the farm.  The parallel runs here force a pool even on a
 single-core machine (``max_workers=2``), so pickling of jobs and
 compiled programs is genuinely exercised.
 """
 
+import logging
+import os
+from dataclasses import dataclass
+from pathlib import Path
+
 import pytest
 
 from repro.evalx.farm import (
-    CompileJob, FarmResult, compile_many, default_workers, run_job,
+    CompileJob, Result, default_workers, run_job, run_many,
 )
 
 _JOBS = [
@@ -30,19 +35,19 @@ _BAD_JOB = CompileJob(kernel="fir", compiler="baseline", target="m56")
 def _fingerprint(results):
     return [
         (result.job, result.ok, result.error_type,
-         result.compiled.listing() if result.ok else result.error)
+         result.payload.listing() if result.ok else result.error)
         for result in results
     ]
 
 
 def test_serial_matches_parallel():
-    serial = compile_many(_JOBS, parallel=False)
-    parallel = compile_many(_JOBS, parallel=True, max_workers=2)
+    serial = run_many(_JOBS, parallel=False)
+    parallel = run_many(_JOBS, parallel=True, max_workers=2)
     assert _fingerprint(serial) == _fingerprint(parallel)
 
 
 def test_results_in_job_order():
-    results = compile_many(_JOBS, parallel=True, max_workers=2)
+    results = run_many(_JOBS, parallel=True, max_workers=2)
     assert [result.job for result in results] == _JOBS
     assert all(result.ok for result in results)
 
@@ -53,12 +58,12 @@ def test_compile_error_is_captured_in_order(parallel):
     """A CompileError from one worker neither kills the farm nor
     perturbs the ordering of its neighbours' results."""
     jobs = [_JOBS[0], _BAD_JOB, _JOBS[2]]
-    results = compile_many(jobs, parallel=parallel, max_workers=2)
+    results = run_many(jobs, parallel=parallel, max_workers=2)
     assert [result.job for result in results] == jobs
     good_first, bad, good_last = results
     assert good_first.ok and good_last.ok
     assert not bad.ok
-    assert bad.compiled is None
+    assert bad.payload is None
     assert bad.error_type == "CompileError"
     assert "target-specific" in bad.error
     # and the same failure reads identically straight from run_job:
@@ -68,19 +73,19 @@ def test_compile_error_is_captured_in_order(parallel):
 
 
 def test_unknown_names_are_captured_not_raised():
-    results = compile_many([
+    results = run_many([
         CompileJob(kernel="no_such_kernel"),
         CompileJob(kernel="fir", compiler="no_such_compiler"),
         CompileJob(kernel="fir", target="no_such_target"),
     ], parallel=False)
     assert [result.ok for result in results] == [False, False, False]
-    assert all(isinstance(result, FarmResult) for result in results)
+    assert all(isinstance(result, Result) for result in results)
 
 
 def test_auto_mode_runs_everything():
     """parallel=None (auto) must behave like the other modes."""
-    auto = compile_many(_JOBS[:5])
-    serial = compile_many(_JOBS[:5], parallel=False)
+    auto = run_many(_JOBS[:5])
+    serial = run_many(_JOBS[:5], parallel=False)
     assert _fingerprint(auto) == _fingerprint(serial)
 
 
@@ -108,25 +113,25 @@ def test_duplicate_jobs_compile_once_and_fan_back_out(monkeypatch):
     job = CompileJob(kernel="real_update")
     jobs = [job, CompileJob(kernel="fir"), job, job,
             CompileJob(kernel="real_update")]      # equal by content
-    results = farm.compile_many(jobs, parallel=False)
+    results = farm.run_many(jobs, parallel=False)
 
     assert len(calls) == 2                         # one per unique key
     assert [result.job for result in results] == jobs
     assert all(result.ok for result in results)
-    listings = {result.compiled.listing()
+    listings = {result.payload.listing()
                 for result in results if result.job.kernel == "real_update"}
     assert len(listings) == 1
     # duplicates share the artifact, not the result wrapper
     assert results[0] is not results[2]
-    assert results[0].compiled is results[2].compiled
+    assert results[0].payload is results[2].payload
 
 
 def test_dedup_matches_undeduped_serial_run():
     """Fan-out must be invisible: a list with duplicates returns the
     same fingerprint as compiling every entry individually."""
     jobs = [_JOBS[0], _JOBS[1], _JOBS[0], _JOBS[1], _JOBS[0]]
-    deduped = compile_many(jobs, parallel=False)
-    individually = [compile_many([job], parallel=False)[0]
+    deduped = run_many(jobs, parallel=False)
+    individually = [run_many([job], parallel=False)[0]
                     for job in jobs]
     assert _fingerprint(deduped) == _fingerprint(individually)
 
@@ -146,7 +151,7 @@ def test_fresh_jobs_are_exempt_from_dedup(monkeypatch):
     monkeypatch.setattr(farm, "run_job", counting_run_job)
     jobs = [CompileJob(kernel="real_update", fresh=True)
             for _ in range(3)]
-    results = farm.compile_many(jobs, parallel=False)
+    results = farm.run_many(jobs, parallel=False)
     assert len(calls) == 3
     assert all(result.ok for result in results)
 
@@ -164,17 +169,56 @@ def test_verify_jobs_dedup_on_content(monkeypatch):
                           targets=("tc25",))
 
     calls = []
-    real_run = farm.run_verify_job
+    real_run = farm.VerifyJob.run
 
     def counting_run(verify_job):
         calls.append(verify_job)
         return real_run(verify_job)
 
-    monkeypatch.setattr(farm, "run_verify_job", counting_run)
-    results = farm.verify_many([job, twin, job], parallel=False)
+    monkeypatch.setattr(farm.VerifyJob, "run", counting_run)
+    results = farm.run_many([job, twin, job], parallel=False)
     assert len(calls) == 1
     assert [result.job for result in results] == [job, twin, job]
-    assert all(result.ok and result.verdict.ok for result in results)
+    assert all(result.ok and result.payload.ok for result in results)
+
+
+# ----------------------------------------------------------------------
+# Pool death: logged, then the whole list recomputes serially
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _DiesOnceInWorker:
+    """Kills its pool worker process on the first attempt anywhere
+    (the marker file records that attempt); runs normally after that,
+    and always in the driver process."""
+
+    value: int
+    marker: str
+    driver_pid: int
+
+    def key(self):
+        return self.value
+
+    def run(self):
+        if os.getpid() != self.driver_pid \
+                and not Path(self.marker).exists():
+            Path(self.marker).touch()
+            os._exit(1)
+        return self.value * self.value
+
+
+def test_pool_death_falls_back_to_serial_with_warning(tmp_path, caplog):
+    jobs = [_DiesOnceInWorker(value, str(tmp_path / "died"), os.getpid())
+            for value in range(4)]
+    serial = run_many(jobs, parallel=False)
+    with caplog.at_level(logging.WARNING, logger="repro.farm"):
+        survived = run_many(jobs, parallel=True, max_workers=2)
+    assert [(r.job, r.payload) for r in survived] \
+        == [(r.job, r.payload) for r in serial]
+    assert (tmp_path / "died").exists(), "a pool worker must have died"
+    assert any(record.name == "repro.farm"
+               and "BrokenProcessPool" in record.getMessage()
+               for record in caplog.records)
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ only its block to the decoded closure runner, and both demotions are
 observable in the translation counters but never in results.
 """
 
+import logging
 import random
 
 import pytest
@@ -245,6 +246,35 @@ def test_persistent_source_cache_round_trip(tmp_path):
         assert warm == cold
     finally:
         repro.cache.configure(None)
+
+
+def test_broken_persisted_source_warns_and_regenerates(tmp_path, caplog):
+    target = TC25()
+    spec = next(s for s in all_kernels() if s.name == "dot_product")
+    compiled = RecordCompiler(target).compile(spec.program)
+    inputs = spec.inputs(seed=0)
+
+    def run_once():
+        state = target.initial_state()
+        load_environment(compiled, inputs, state)
+        JitMachine(target).run(compiled.code, state)
+        return read_environment(compiled, state), state.cycles
+
+    try:
+        cache = repro.cache.configure(tmp_path / "cache")
+        clean = run_once()
+        [entry] = cache.root.glob("jit/*/*.py")
+        good_source = entry.read_text()
+        entry.write_text("def broken(:\n")
+        clear_decode_cache()                # drop in-process caches only
+        with caplog.at_level(logging.WARNING, logger="repro.sim.jit"):
+            rerun = run_once()
+    finally:
+        repro.cache.configure(None)
+    assert rerun == clean
+    assert any(record.name == "repro.sim.jit" and entry.stem
+               in record.getMessage() for record in caplog.records)
+    assert entry.read_text() == good_source, "entry must be rewritten"
 
 
 def test_clear_decode_cache_clears_jit_cache():

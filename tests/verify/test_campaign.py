@@ -102,6 +102,20 @@ def test_parallel_dispatch_matches_serial_triage(tmp_path):
         == merged_triage_text(serial.state)
 
 
+def test_pool_startup_failure_runs_shards_serially(tmp_path, monkeypatch):
+    """jobs=2 with no pool available: the serial shard loop, same
+    merged triage as a jobs=1 run."""
+    config = _config(shards=4, fault=("ADD", "SUB"))
+    serial = run_campaign(config, tmp_path / "serial.json", classify=False)
+    monkeypatch.setattr(farm, "make_farm_executor",
+                        lambda max_workers=None: None)
+    degraded = run_campaign(config, tmp_path / "degraded.json", jobs=2,
+                            classify=False)
+    assert degraded.complete and degraded.shards_run == 4
+    assert merged_triage_text(degraded.state) \
+        == merged_triage_text(serial.state)
+
+
 def test_triage_invariant_with_mismatches(tmp_path):
     """Shard invariance must hold for red campaigns too."""
     texts = []
@@ -128,7 +142,7 @@ def test_crash_resume_no_lost_or_duplicate_seeds(tmp_path, monkeypatch):
     assert reference.complete
 
     state_path = tmp_path / "crashing.json"
-    real = farm.run_shard_job
+    real = farm.run_job
     calls = []
 
     def dies_after_two(job):
@@ -137,7 +151,7 @@ def test_crash_resume_no_lost_or_duplicate_seeds(tmp_path, monkeypatch):
         calls.append(job)
         return real(job)
 
-    monkeypatch.setattr(farm, "run_shard_job", dies_after_two)
+    monkeypatch.setattr(farm, "run_job", dies_after_two)
     with pytest.raises(RuntimeError):
         run_campaign(config, state_path)
 
@@ -152,7 +166,7 @@ def test_crash_resume_no_lost_or_duplicate_seeds(tmp_path, monkeypatch):
                                        shard["start"] + shard["count"])}
     assert len(done_indices) == sum(shard["count"] for shard in done)
 
-    monkeypatch.setattr(farm, "run_shard_job", real)
+    monkeypatch.setattr(farm, "run_job", real)
     resumed = run_campaign(config, state_path, resume=True)
     assert resumed.complete and resumed.ok
     assert resumed.shards_run == 3, "done shards must not re-run"
@@ -173,24 +187,23 @@ def test_worker_error_checkpoints_and_resumes(tmp_path, monkeypatch):
     config = _config(programs=8, shards=4)
     reference = run_campaign(config, tmp_path / "ref.json")
 
-    real = farm.run_shard_job
+    real = farm.ShardJob.run
     seen = []
 
     def errors_on_third(job):
         seen.append(job)
         if len(seen) == 3:
-            return farm.ShardResult(job=job, error="simulated death",
-                                    error_type="RuntimeError")
+            raise RuntimeError("simulated death")
         return real(job)
 
-    monkeypatch.setattr(farm, "run_shard_job", errors_on_third)
+    monkeypatch.setattr(farm.ShardJob, "run", errors_on_third)
     state_path = tmp_path / "erroring.json"
     broken = run_campaign(config, state_path)
     assert not broken.ok and not broken.complete
     assert any("simulated death" in error for error in broken.errors)
     assert "simulated death" in summarize(broken)
 
-    monkeypatch.setattr(farm, "run_shard_job", real)
+    monkeypatch.setattr(farm.ShardJob, "run", real)
     resumed = run_campaign(config, state_path, resume=True)
     assert resumed.complete and resumed.ok
     assert merged_triage_text(resumed.state) \
@@ -241,7 +254,7 @@ def test_resume_refuses_config_mismatch(tmp_path):
 
 def test_every_checkpoint_is_complete_json(tmp_path, monkeypatch):
     """Readers never see a torn state file mid-campaign."""
-    real = farm.run_shard_job
+    real = farm.ShardJob.run
     state_path = tmp_path / "state.json"
 
     def checks_checkpoint(job):
@@ -251,7 +264,7 @@ def test_every_checkpoint_is_complete_json(tmp_path, monkeypatch):
                 assert shard["status"] in ("pending", "done")
         return real(job)
 
-    monkeypatch.setattr(farm, "run_shard_job", checks_checkpoint)
+    monkeypatch.setattr(farm.ShardJob, "run", checks_checkpoint)
     result = run_campaign(_config(), state_path)
     assert result.complete
     assert not list(tmp_path.glob(".*.tmp")), \

@@ -29,8 +29,7 @@ import pytest
 import repro.cache
 from repro.evalx import farm
 from repro.evalx.farm import (
-    VerifyJob, VerifyResult, clear_verify_session, run_verify_job,
-    verify_many,
+    VerifyJob, clear_worker_session, run_job, run_many,
 )
 from repro.selftest.generator import Fault
 from repro.verify.corpus import program_to_spec
@@ -116,17 +115,17 @@ def test_verify_job_pickles_small():
     assert pickle.loads(pickle.dumps(job)) == job
 
 
-def test_verify_many_order_and_serial_parallel_equality():
+def test_verify_jobs_order_and_serial_parallel_equality():
     jobs = [_job(seed) for seed in (5, 6, 7)]
-    clear_verify_session()
-    serial = verify_many(jobs, parallel=False)
-    parallel = verify_many(jobs, parallel=True, max_workers=2)
+    clear_worker_session()
+    serial = run_many(jobs, parallel=False)
+    parallel = run_many(jobs, parallel=True, max_workers=2)
     assert [r.job for r in serial] == jobs
     assert [r.job for r in parallel] == jobs
     for left, right in zip(serial, parallel):
         assert left.ok and right.ok
-        assert [o.describe() for o in left.verdict.outcomes] \
-            == [o.describe() for o in right.verdict.outcomes]
+        assert [o.describe() for o in left.payload.outcomes] \
+            == [o.describe() for o in right.payload.outcomes]
 
 
 @pytest.mark.parametrize("parallel", [False, True],
@@ -142,15 +141,15 @@ def test_worker_error_travels_as_string(parallel):
                                  "body": [{"kind": "no-such-kind"}]},
                     input_sets=({},), targets=("tc25",))
     jobs = [_job(5), bad, _job(7)]
-    results = verify_many(jobs, parallel=parallel, max_workers=2)
+    results = run_many(jobs, parallel=parallel, max_workers=2)
     assert [r.job for r in results] == jobs
     good_first, broken, good_last = results
     assert good_first.ok and good_last.ok
-    assert not broken.ok and broken.verdict is None
+    assert not broken.ok and broken.payload is None
     assert broken.error_type == "ValueError"
     assert "no-such-kind" in broken.error
-    # identical straight from run_verify_job (the serial fallback path):
-    direct = run_verify_job(bad)
+    # identical straight from run_job (the serial fallback path):
+    direct = run_job(bad)
     assert (direct.error_type, direct.error) \
         == (broken.error_type, broken.error)
 
@@ -161,17 +160,17 @@ def test_pool_startup_failure_falls_back_to_serial(monkeypatch):
             raise OSError("no process pool in this environment")
 
     jobs = [_job(5), _job(6)]
-    clear_verify_session()
-    expected = verify_many(jobs, parallel=False)
+    clear_worker_session()
+    expected = run_many(jobs, parallel=False)
     monkeypatch.setattr(farm.concurrent.futures, "ProcessPoolExecutor",
                         _RefusesToStart)
-    clear_verify_session()
-    degraded = verify_many(jobs, parallel=True, max_workers=2)
+    clear_worker_session()
+    degraded = run_many(jobs, parallel=True, max_workers=2)
     assert all(r.ok for r in degraded)
     assert [
-        [o.describe() for o in r.verdict.outcomes] for r in degraded
+        [o.describe() for o in r.payload.outcomes] for r in degraded
     ] == [
-        [o.describe() for o in r.verdict.outcomes] for r in expected
+        [o.describe() for o in r.payload.outcomes] for r in expected
     ]
 
 
