@@ -14,6 +14,12 @@ target matrix:
 - **cached parallel** -- the same jobs on the compile farm's process
   pool (only meaningful on multi-core machines).
 
+Every mode also compiles a few generated programs (progen seed 1,
+no ``sat()``, the first programs of the selection pins in
+``tests/codegen/test_selection_pins.py``): their trees reach cuts,
+double-word cuts and the baseline's algebraic rescue, which the kernels
+rarely do.
+
 The emitted assembly must be byte-identical across all modes -- the
 caches are transparent or they are wrong -- and the results land in
 ``BENCH_COMPILE.json`` at the repository root: per-stage wall-clock
@@ -28,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -41,6 +48,8 @@ from repro.evalx.farm import (
 from repro.ir.trees import (
     clear_tree_caches, intern_table_size, set_tree_caching,
 )
+from repro.verify.corpus import program_to_spec
+from repro.verify.progen import ProgenConfig, generate_program
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -56,11 +65,35 @@ STAGES = ("selection", "variants", "labeling", "loop_opt", "peephole",
           "addressing", "modes", "finalize")
 
 
-def build_jobs(kernels: List[str], fresh: bool) -> List[CompileJob]:
-    return [CompileJob(kernel=kernel, compiler=compiler, target=target,
+#: Generated programs compiled in every mode, next to the kernels.
+PROGEN_SEED = 1
+PROGEN_PROGRAMS = 4
+
+
+def progen_programs() -> List[Tuple[str, str]]:
+    """``(name, canonical program spec)`` of the first
+    ``PROGEN_PROGRAMS`` generated programs of the selection pins."""
+    config = ProgenConfig(sat_probability=0.0)
+    programs = []
+    for index in range(PROGEN_PROGRAMS):
+        rng = random.Random(PROGEN_SEED * 1_000_000 + index)
+        program = generate_program(rng, index, config)
+        programs.append((program.name, json.dumps(program_to_spec(program),
+                                                  sort_keys=True)))
+    return programs
+
+
+def build_jobs(kernels: List[str], programs: List[Tuple[str, str]],
+               fresh: bool) -> List[CompileJob]:
+    jobs = [CompileJob(kernel=kernel, compiler=compiler, target=target,
                        fresh=fresh)
             for kernel in kernels
             for compiler, target in CELLS]
+    jobs += [CompileJob(kernel=name, compiler=compiler, target=target,
+                        fresh=fresh, program_spec=spec)
+             for name, spec in programs
+             for compiler, target in CELLS]
+    return jobs
 
 
 def _aggregate(results: List[Result]) -> Dict[str, object]:
@@ -136,8 +169,9 @@ def measure(kernels: Optional[List[str]] = None,
             with_parallel: bool = True) -> Dict[str, object]:
     if kernels is None:
         kernels = [spec.name for spec in all_kernels()]
-    fresh_jobs = build_jobs(kernels, fresh=True)
-    pooled_jobs = build_jobs(kernels, fresh=False)
+    programs = progen_programs()
+    fresh_jobs = build_jobs(kernels, programs, fresh=True)
+    pooled_jobs = build_jobs(kernels, programs, fresh=False)
 
     uncached_wall, uncached = run_uncached_serial(fresh_jobs)
     cached_wall, cached = run_cached_serial(pooled_jobs)
@@ -146,6 +180,7 @@ def measure(kernels: Optional[List[str]] = None,
     report: Dict[str, object] = {
         "jobs": len(fresh_jobs),
         "kernels": kernels,
+        "programs": [name for name, _spec in programs],
         "cells": [f"{compiler}/{target}" for compiler, target in CELLS],
         "intern_table_size": intern_table_size(),
         "identical_output": not diverged,
@@ -202,9 +237,10 @@ def render(report: Dict[str, object]) -> str:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
-                        help="CI smoke: 3 kernels, serial modes only, "
-                             "no JSON; fails on any cached-vs-cold "
-                             "output divergence")
+                        help="CI smoke: 3 kernels and the generated "
+                             "programs, serial modes only, no JSON; "
+                             "fails on any cached-vs-cold output "
+                             "divergence")
     parser.add_argument("--output", default=str(ROOT /
                                                 "BENCH_COMPILE.json"),
                         help="where the full run writes its JSON")

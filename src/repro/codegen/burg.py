@@ -6,7 +6,11 @@ Aho-Ganapathi-Tjiang code generator the paper cites in Sec. 4.3.3:
 1. **label** -- a bottom-up pass computes, for every subtree and every
    nonterminal, the cheapest derivation of that subtree to that
    nonterminal (rule costs are additive; chain rules are closed to a
-   fixpoint per node).
+   fixpoint per node).  As iburg compiles the grammar into
+   per-operator matching code, the labeller compiles it -- lazily,
+   once per grammar and metric -- into per-operator *rule plans*:
+   each pattern flattened into preorder checks, each cost an integer
+   pair ordered by the metric.
 
 2. **reduce** -- a top-down pass replays the optimal derivation for a
    goal nonterminal, calling each rule's ``emit`` function.
@@ -29,16 +33,17 @@ heuristics perform.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.codegen.asm import Mem
 from repro.codegen.grammar import (
-    Cost, EmitContext, Nt, Pat, Pattern, Rule, Term, TreeGrammar,
+    Cost, EmitContext, Nt, Pattern, Rule, Term, TreeGrammar,
 )
 from repro.ir.ops import OpKind
 from repro.ir.trees import Tree
+
+_COMPUTE = OpKind.COMPUTE
 
 
 class CoverError(Exception):
@@ -46,51 +51,125 @@ class CoverError(Exception):
     legal evaluation order exists for the optimal derivation)."""
 
 
-@dataclass
 class _Derivation:
-    """Cheapest derivation of one (subtree, nonterminal) pair."""
+    """Cheapest derivation of one (subtree, nonterminal) pair.
 
-    cost: Cost
-    rule: Rule
-    # For a pattern rule: (nt_name, subtree) per Nt leaf, in preorder.
-    bindings: Tuple[Tuple[str, Tree], ...] = ()
-    # Union of clobbers along the whole derivation (incl. children).
-    clobbers: FrozenSet[str] = frozenset()
-    # For a chain rule: the source nonterminal it converts from.
-    chain_source: Optional[str] = None
+    ``cost`` is the metric-ordered integer pair ``Cost.key(metric)``;
+    for a pattern rule ``bindings`` holds one ``(nt_name, subtree)``
+    per Nt leaf in preorder; ``clobbers`` is the union of clobbers along
+    the whole derivation (children included); for a chain rule
+    ``chain_source`` is the nonterminal it converts from.
+    """
+
+    __slots__ = ("cost", "rule", "bindings", "clobbers", "chain_source")
+
+    def __init__(self, cost: Tuple[int, int], rule: Rule,
+                 bindings: Tuple[Tuple[str, Tree], ...],
+                 clobbers: FrozenSet[str],
+                 chain_source: Optional[str]):
+        self.cost = cost
+        self.rule = rule
+        self.bindings = bindings
+        self.clobbers = clobbers
+        self.chain_source = chain_source
 
 
 _State = Dict[str, _Derivation]
 
+# Step tests of a compiled pattern (see _compile_pattern).
+_NT, _OP, _TERM = 0, 1, 2
 
-def _match(pattern: Pattern, tree: Tree,
-           state_of) -> Optional[List[Tuple[str, Tree]]]:
-    """Structural match of ``pattern`` against ``tree``.
 
-    Returns the list of (nonterminal, subtree) bindings for the Nt
-    leaves in preorder, or ``None`` on mismatch.  ``state_of(subtree)``
-    must return the already-computed label state of a subtree (children
-    are labelled before parents in the bottom-up pass).
+def _compile_pattern(pattern: Pattern, path: Tuple[int, ...],
+                     steps: List[tuple]) -> None:
+    """Flatten ``pattern`` into preorder ``(path, test, arg)`` steps.
+
+    ``path`` leads from the labelled node to the pattern node through
+    child indices.  An ``_OP`` step checks an inner operator node
+    (``arg`` is ``(op name, arity)``) before any step descends into it;
+    a ``_TERM`` step checks a leaf kind and predicate (``arg`` is
+    ``(OpKind, predicate or None)``); an ``_NT`` step binds a
+    nonterminal (``arg`` is its name).  The root operator of a pattern
+    rule is not a step: rules are indexed by it.
     """
     if isinstance(pattern, Nt):
-        state = state_of(tree)
-        if pattern.name not in state:
-            return None
-        return [(pattern.name, tree)]
-    if isinstance(pattern, Term):
-        return [] if pattern.matches(tree) else None
-    # Pat
-    if tree.kind is not OpKind.COMPUTE or tree.operator.name != pattern.op:
-        return None
-    if len(pattern.children) != len(tree.children):
-        return None
-    bindings: List[Tuple[str, Tree]] = []
-    for sub_pattern, sub_tree in zip(pattern.children, tree.children):
-        sub_bindings = _match(sub_pattern, sub_tree, state_of)
-        if sub_bindings is None:
-            return None
-        bindings.extend(sub_bindings)
-    return bindings
+        steps.append((path, _NT, pattern.name))
+    elif isinstance(pattern, Term):
+        kind = OpKind.CONST if pattern.kind == "const" else OpKind.REF
+        steps.append((path, _TERM, (kind, pattern.predicate)))
+    else:
+        if path:
+            steps.append((path, _OP, (pattern.op, len(pattern.children))))
+        for index, child in enumerate(pattern.children):
+            _compile_pattern(child, path + (index,), steps)
+
+
+class _RulePlan:
+    """A rule compiled for labelling: its pattern as preorder steps, its
+    cost as a metric-ordered integer pair."""
+
+    __slots__ = ("rule", "nonterm", "cost", "clobbers", "guard", "steps")
+
+    def __init__(self, rule: Rule, metric: str):
+        self.rule = rule
+        self.nonterm = rule.nonterm
+        self.cost = rule.cost.key(metric)
+        self.clobbers = frozenset(rule.clobbers)
+        self.guard = rule.guard
+        steps: List[tuple] = []
+        _compile_pattern(rule.pattern, (), steps)
+        self.steps = tuple(steps)
+
+
+class _PlanTable:
+    """Rule plans of one grammar under one metric, built lazily: pattern
+    rules per root operator, leaf rules per leaf kind, chain rules per
+    source nonterminal -- each list in grammar rule order."""
+
+    __slots__ = ("grammar", "metric", "by_op", "by_leaf", "by_source")
+
+    def __init__(self, grammar: TreeGrammar, metric: str):
+        self.grammar = grammar
+        self.metric = metric
+        self.by_op: Dict[str, Tuple[_RulePlan, ...]] = {}
+        self.by_leaf: Dict[OpKind, Tuple[_RulePlan, ...]] = {}
+        self.by_source: Dict[str, Tuple[_RulePlan, ...]] = {}
+
+    def for_op(self, op_name: str) -> Tuple[_RulePlan, ...]:
+        plans = self.by_op.get(op_name)
+        if plans is None:
+            plans = self.by_op[op_name] = tuple(
+                _RulePlan(rule, self.metric)
+                for rule in self.grammar.rules_for_op(op_name))
+        return plans
+
+    def for_leaf(self, kind: OpKind) -> Tuple[_RulePlan, ...]:
+        # A terminal only admits leaves of its own kind, so the other
+        # kind's rules are dropped up front (order is preserved).
+        plans = self.by_leaf.get(kind)
+        if plans is None:
+            plans = self.by_leaf[kind] = tuple(
+                plan for plan in (_RulePlan(rule, self.metric)
+                                  for rule in self.grammar.leaf_rules())
+                if plan.steps[0][2][0] is kind)
+        return plans
+
+    def from_source(self, source_nt: str) -> Tuple[_RulePlan, ...]:
+        plans = self.by_source.get(source_nt)
+        if plans is None:
+            plans = self.by_source[source_nt] = tuple(
+                _RulePlan(rule, self.metric)
+                for rule in self.grammar.chain_rules_from(source_nt))
+        return plans
+
+
+def _plan_table(grammar: TreeGrammar, metric: str) -> _PlanTable:
+    """The grammar's rule plans for ``metric`` (built once per grammar;
+    :meth:`TreeGrammar.add_rule` drops them)."""
+    table = grammar.plans.get(metric)
+    if table is None:
+        table = grammar.plans[metric] = _PlanTable(grammar, metric)
+    return table
 
 
 def _terminal_payloads(pattern: Pattern, tree: Tree) -> List[object]:
@@ -131,6 +210,7 @@ class BurgMatcher:
         self.grammar = grammar
         self.metric = metric
         Cost().key(metric)   # validate metric early
+        self._plans = _plan_table(grammar, metric)
         # Persistent label cache: states depend only on the (fixed)
         # grammar and the subtree, so they are shared across label()
         # calls -- the selector labels many algebraic variants that
@@ -163,65 +243,82 @@ class BurgMatcher:
             self.label_hits += 1
             return
         self.label_misses += 1
-        for child in tree.children:
+        children = tree.children
+        for child in children:
             self._label_node(child, states)
         state: _State = {}
         states[tree] = state
-
-        def state_of(subtree: Tree) -> _State:
-            return states[subtree]
-
-        if tree.kind is OpKind.COMPUTE:
-            candidates = self.grammar.rules_for_op(tree.operator.name)
+        if tree.kind is _COMPUTE:
+            operator = tree.operator
+            # a node of the wrong arity matches no pattern of its operator
+            plans = self._plans.for_op(operator.name) \
+                if len(children) == operator.arity else ()
         else:
-            candidates = self.grammar.leaf_rules()
-        for rule in candidates:
-            bindings = _match(rule.pattern, tree, state_of)
-            if bindings is None:
-                continue
-            if rule.guard is not None and not rule.guard(tree):
-                continue
-            cost = rule.cost
-            clobbers = set(rule.clobbers)
-            feasible = True
-            for nt_name, subtree in bindings:
-                derivation = states[subtree].get(nt_name)
-                if derivation is None:
-                    feasible = False
-                    break
-                cost = cost + derivation.cost
-                clobbers |= derivation.clobbers
-            if not feasible:
-                continue
-            self._consider(state, rule.nonterm, _Derivation(
-                cost=cost, rule=rule, bindings=tuple(bindings),
-                clobbers=frozenset(clobbers)))
-        self._close_chains(state)
-
-    def _consider(self, state: _State, nonterm: str,
-                  derivation: _Derivation) -> None:
-        existing = state.get(nonterm)
-        if existing is None or \
-                derivation.cost.key(self.metric) < existing.cost.key(self.metric):
-            state[nonterm] = derivation
+            plans = self._plans.for_leaf(tree.kind)
+        for plan in plans:
+            primary, secondary = plan.cost
+            found = []
+            for path, test, arg in plan.steps:
+                node = tree
+                for index in path:
+                    node = node.children[index]
+                if test == _NT:
+                    derivation = states[node].get(arg)
+                    if derivation is None:
+                        break
+                    primary += derivation.cost[0]
+                    secondary += derivation.cost[1]
+                    found.append((arg, node, derivation))
+                elif test == _OP:
+                    if node.kind is not _COMPUTE \
+                            or node.operator.name != arg[0] \
+                            or len(node.children) != arg[1]:
+                        break
+                else:
+                    kind, predicate = arg
+                    if node.kind is not kind or (
+                            predicate is not None and not predicate(node)):
+                        break
+            else:
+                if plan.guard is not None and not plan.guard(tree):
+                    continue
+                cost = (primary, secondary)
+                existing = state.get(plan.nonterm)
+                # strictly cheaper only: the earliest rule wins a tie
+                if existing is None or cost < existing.cost:
+                    clobbers = plan.clobbers
+                    for _name, _node, derivation in found:
+                        clobbers = clobbers | derivation.clobbers
+                    state[plan.nonterm] = _Derivation(
+                        cost, plan.rule,
+                        tuple((name, node) for name, node, _ in found),
+                        clobbers, None)
+        if state:
+            self._close_chains(state)
 
     def _close_chains(self, state: _State) -> None:
         """Relax chain rules to a fixpoint (grammars are tiny: iterate)."""
+        from_source = self._plans.from_source
         changed = True
         while changed:
             changed = False
             for source_nt in list(state):
                 source = state[source_nt]
-                for rule in self.grammar.chain_rules_from(source_nt):
-                    cost = rule.cost + source.cost
-                    clobbers = frozenset(set(rule.clobbers) | source.clobbers)
-                    existing = state.get(rule.nonterm)
-                    if existing is None or \
-                            cost.key(self.metric) < existing.cost.key(self.metric):
-                        state[rule.nonterm] = _Derivation(
-                            cost=cost, rule=rule, clobbers=clobbers,
-                            chain_source=source_nt)
+                for plan in from_source(source_nt):
+                    cost = (plan.cost[0] + source.cost[0],
+                            plan.cost[1] + source.cost[1])
+                    existing = state.get(plan.nonterm)
+                    if existing is None or cost < existing.cost:
+                        state[plan.nonterm] = _Derivation(
+                            cost, plan.rule, (),
+                            plan.clobbers | source.clobbers, source_nt)
                         changed = True
+
+    def _to_cost(self, key: Tuple[int, int]) -> Cost:
+        """Invert ``Cost.key(self.metric)``."""
+        if self.metric == "size":
+            return Cost(key[0], key[1])
+        return Cost(key[1], key[0])
 
     # ------------------------------------------------------------------
     # Queries
@@ -231,7 +328,7 @@ class BurgMatcher:
         """Cheapest cost of deriving ``tree`` to ``goal``, or None."""
         states = self.label(tree)
         derivation = states[tree].get(goal)
-        return derivation.cost if derivation else None
+        return self._to_cost(derivation.cost) if derivation else None
 
     def cover_rules(self, tree: Tree, goal: str) -> List[Rule]:
         """The rules of the optimal cover in reduce order (for display,

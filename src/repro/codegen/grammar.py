@@ -39,19 +39,29 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, U
 
 from repro.codegen.asm import AsmInstr, CodeSeq, Mem
 from repro.ir.ops import OPS, OpKind
-from repro.ir.trees import Tree
+from repro.ir.trees import WIDE_PREFIX, Tree
 
 
 # ----------------------------------------------------------------------
 # Costs
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Cost:
     """Additive cost: code words and execution cycles."""
 
-    words: int = 0
-    cycles: int = 0
+    __slots__ = ("words", "cycles")
+
+    words: int
+    cycles: int
+
+    def __init__(self, words: int = 0, cycles: int = 0):
+        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "cycles", cycles)
+
+    def __reduce__(self) -> tuple:
+        # a frozen slotted instance cannot be rebuilt by setattr
+        return (Cost, (self.words, self.cycles))
 
     def __add__(self, other: "Cost") -> "Cost":
         return Cost(self.words + other.words, self.cycles + other.cycles)
@@ -171,9 +181,6 @@ class Rule:
                 f"[{self.cost.words}w/{self.cost.cycles}c] ({label})")
 
 
-WIDE_PREFIX = "$wide"
-
-
 class EmitContext:
     """State threaded through the reduce walk."""
 
@@ -229,6 +236,9 @@ class TreeGrammar:
         self._index()
 
     def _index(self) -> None:
+        # Rule plans compiled by repro.codegen.burg, per metric, on
+        # first use; a changed rule set drops them.
+        self.plans: Dict[str, object] = {}
         seen_nts: Dict[str, None] = {}
         for rule in self.rules:
             seen_nts.setdefault(rule.nonterm, None)

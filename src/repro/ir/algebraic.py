@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.ir.ops import OpKind
 from repro.ir.trees import Tree, tree_caching_enabled
@@ -210,23 +210,6 @@ DEFAULT_RULES: List[RewriteRule] = [
 ]
 
 
-def _rewrites_at_every_position(tree: Tree,
-                                rules: Sequence[RewriteRule]
-                                ) -> Iterator[Tree]:
-    """Yield every tree obtainable by one rule firing at one position."""
-    for rule in rules:
-        result = rule.apply(tree)
-        if result is not None and result != tree:
-            yield result
-    for position, child in enumerate(tree.children):
-        for rewritten_child in _rewrites_at_every_position(child, rules):
-            children = list(tree.children)
-            children[position] = rewritten_child
-            yield Tree(tree.kind, operator=tree.operator,
-                       children=tuple(children), value=tree.value,
-                       symbol=tree.symbol, index=tree.index)
-
-
 def enumerate_variants(tree: Tree,
                        rules: Sequence[RewriteRule] = None,
                        limit: int = DEFAULT_VARIANT_LIMIT) -> List[Tree]:
@@ -259,13 +242,41 @@ def enumerate_variants(tree: Tree,
 
 def _enumerate_variants(tree: Tree, rules: Sequence[RewriteRule],
                         limit: int) -> List[Tree]:
+    # One-step rewrites per distinct subtree, for this enumeration only:
+    # variants share most of their subtrees, so each shared subtree is
+    # rewritten once instead of once per variant containing it.
+    memo: Dict[Tree, Tuple[Tree, ...]] = {}
+
+    def one_step(node: Tree) -> Tuple[Tree, ...]:
+        """Every tree obtainable by one rule firing at one position of
+        ``node``: the rules at the root in rule order, then each child's
+        rewrites in child order."""
+        rewrites = memo.get(node)
+        if rewrites is not None:
+            return rewrites
+        found: List[Tree] = []
+        for rule in rules:
+            result = rule.apply(node)
+            if result is not None and result != node:
+                found.append(result)
+        for position, child in enumerate(node.children):
+            for rewritten_child in one_step(child):
+                children = list(node.children)
+                children[position] = rewritten_child
+                found.append(Tree(node.kind, operator=node.operator,
+                                  children=tuple(children),
+                                  value=node.value, symbol=node.symbol,
+                                  index=node.index))
+        rewrites = memo[node] = tuple(found)
+        return rewrites
+
     seen = {tree}
     frontier = [tree]
     variants = [tree]
     while frontier and len(variants) < limit:
         next_frontier: List[Tree] = []
         for current in frontier:
-            for candidate in _rewrites_at_every_position(current, rules):
+            for candidate in one_step(current):
                 if candidate in seen:
                     continue
                 seen.add(candidate)

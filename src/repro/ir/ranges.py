@@ -8,10 +8,12 @@ through temporaries and the selector prefers word-sized cut points.
 
 Interval rules mirror the expression semantics of
 :class:`repro.ir.fixedpoint.FixedPointContext`: memory reads and
-constants are word-sized; operators realized by word-width machine
-ports (mul / logic / min / max) wrap their operands first; the
-accumulation chain (add/sub/neg/abs/shifts) is tracked exactly; ``sat``
-and ``wrap`` re-clamp.
+constants are word-sized, except the selector's double-word spill
+slots (``$wide`` refs), which hold an accumulator-width value;
+operators realized by word-width machine ports (mul / logic / min /
+max) wrap their operands first; the accumulation chain
+(add/sub/neg/abs/shifts) is tracked exactly; ``sat`` and ``wrap``
+re-clamp.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Optional
 
 from repro.ir.fixedpoint import FixedPointContext
 from repro.ir.ops import OpKind
-from repro.ir.trees import Tree, tree_caching_enabled
+from repro.ir.trees import WIDE_PREFIX, Tree, tree_caching_enabled
 
 # Range analysis is a pure function of (tree, word width); the rewrite
 # guards of repro.ir.algebraic call it for every candidate rewrite, so
@@ -63,6 +65,12 @@ class Interval:
 def word_interval(fpc: FixedPointContext) -> Interval:
     """The representable range of the machine word."""
     return Interval(fpc.min_value, fpc.max_value)
+
+
+def double_word_interval(fpc: FixedPointContext) -> Interval:
+    """The range of a double-word spill slot (twice the word width)."""
+    return Interval(-(1 << (2 * fpc.width - 1)),
+                    (1 << (2 * fpc.width - 1)) - 1)
 
 
 def _combine(op_name: str, a: Interval, b: Optional[Interval],
@@ -112,7 +120,8 @@ def _combine(op_name: str, a: Interval, b: Optional[Interval],
 
 
 def tree_range(tree: Tree, fpc: FixedPointContext) -> Interval:
-    """Interval of possible values of a tree (leaves are word-sized)."""
+    """Interval of possible values of a tree (leaves are word-sized,
+    double-word spill slots double-word-sized)."""
     if not tree_caching_enabled():
         return _tree_range(tree, fpc)
     key = (tree, fpc.width)
@@ -128,6 +137,8 @@ def _tree_range(tree: Tree, fpc: FixedPointContext) -> Interval:
         value = fpc.reduce(tree.value)
         return Interval(value, value)
     if tree.kind is OpKind.REF:
+        if tree.symbol.startswith(WIDE_PREFIX):
+            return double_word_interval(fpc)
         return word_interval(fpc)
     name = tree.operator.name
     if name == "sat":

@@ -30,6 +30,9 @@ from repro.ir.fixedpoint import FixedPointContext
 from repro.ir.ops import Op, OpKind, op as lookup_op
 
 TEMP_PREFIX = "$t"
+#: Prefix of the selector's double-word spill slots: a ``$wide`` REF
+#: leaf names a high/low cell pair holding an accumulator-width value.
+WIDE_PREFIX = "$wide"
 
 _CACHING = True
 
@@ -65,7 +68,7 @@ def intern_table_size() -> int:
     return len(Tree._intern)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Tree:
     """An immutable, interned expression tree.
 
@@ -75,15 +78,19 @@ class Tree:
 
     Construction is hash-consed: building a tree that already exists
     returns the existing object, so structural equality of interned
-    trees is pointer equality and ``hash`` is cached per node.
+    trees is pointer equality.  The structural hash of an interned tree
+    is computed once, when the node is created.
     """
 
+    __slots__ = ("kind", "operator", "children", "value", "symbol",
+                 "index", "_hash")
+
     kind: OpKind
-    operator: Optional[Op] = None
-    children: Tuple["Tree", ...] = ()
-    value: Optional[int] = None
-    symbol: Optional[str] = None
-    index: Optional[ArrayIndex] = None
+    operator: Optional[Op]
+    children: Tuple["Tree", ...]
+    value: Optional[int]
+    symbol: Optional[str]
+    index: Optional[ArrayIndex]
 
     _intern: ClassVar[Dict[tuple, "Tree"]] = {}
 
@@ -92,14 +99,26 @@ class Tree:
                 value: Optional[int] = None,
                 symbol: Optional[str] = None,
                 index: Optional[ArrayIndex] = None) -> "Tree":
-        if not _CACHING:
-            return object.__new__(cls)
+        # All state is set here, on creation only: an intern hit returns
+        # the existing node untouched (there is no __init__ to re-run).
         key = (kind, operator, children, value, symbol, index)
-        cached = cls._intern.get(key)
-        if cached is not None:
-            return cached
+        if _CACHING:
+            cached = cls._intern.get(key)
+            if cached is not None:
+                return cached
         self = object.__new__(cls)
-        cls._intern[key] = self
+        initialize = object.__setattr__
+        initialize(self, "kind", kind)
+        initialize(self, "operator", operator)
+        initialize(self, "children", children)
+        initialize(self, "value", value)
+        initialize(self, "symbol", symbol)
+        initialize(self, "index", index)
+        if _CACHING:
+            initialize(self, "_hash", hash(key))
+            cls._intern[key] = self
+        else:
+            initialize(self, "_hash", None)
         return self
 
     def __eq__(self, other: object) -> bool:
@@ -118,32 +137,20 @@ class Tree:
                 and self.children == other.children)
 
     def __hash__(self) -> int:
-        cached = self.__dict__.get("_hash")
-        if cached is not None:
-            return cached
-        result = hash((self.kind, self.operator, self.children,
-                       self.value, self.symbol, self.index))
-        if _CACHING:
-            object.__setattr__(self, "_hash", result)
-        return result
+        cached = self._hash
+        if cached is None:
+            # built with caching off: no stored hash, walk the structure
+            return hash((self.kind, self.operator, self.children,
+                         self.value, self.symbol, self.index))
+        return cached
 
     # Pickle support (the compile farm ships compiled results across
-    # processes).  ``__getnewargs__`` routes reconstruction through
-    # ``__new__`` so unpickled trees re-intern in the receiving process;
-    # hashes are salted per process (string hashing), so a cached one
-    # must never travel -- ``__getstate__`` strips it.
-    def __getnewargs__(self) -> tuple:
-        return (self.kind, self.operator, self.children, self.value,
-                self.symbol, self.index)
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            object.__setattr__(self, name, value)
+    # processes): reconstruction goes through ``__new__``, so unpickled
+    # trees re-intern in the receiving process.  Hashes are salted per
+    # process (string hashing), so the stored one never travels.
+    def __reduce__(self) -> tuple:
+        return (Tree, (self.kind, self.operator, self.children,
+                       self.value, self.symbol, self.index))
 
     # -- constructors ---------------------------------------------------
 

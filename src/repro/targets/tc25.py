@@ -37,7 +37,7 @@ from repro.codegen.grammar import (
     Cost, EmitContext, Nt, Pat, Rule, Term, TreeGrammar,
 )
 from repro.ir.ops import OpKind
-from repro.ir.trees import Tree
+from repro.ir.trees import WIDE_PREFIX, Tree
 from repro.sim.machine import MachineState, SimulationError
 from repro.targets.model import (
     TargetCapabilities, TargetModel, binder, emitter, semantics,
@@ -148,7 +148,7 @@ class TC25(TargetModel):
 
         # --- leaves -----------------------------------------------------
         def not_wide(tree: Tree) -> bool:
-            return not (tree.symbol or "").startswith("$wide")
+            return not (tree.symbol or "").startswith(WIDE_PREFIX)
 
         add(Rule("mem", Term("ref", not_wide), Cost(0, 0),
                  emit=lambda ctx, args: args[0], name="mem-ref"))
@@ -352,7 +352,7 @@ class TC25(TargetModel):
 
         # --- double-width spills (32-bit values through 16-bit memory) ---
         def is_wide(tree: Tree) -> bool:
-            return (tree.symbol or "").startswith("$wide")
+            return (tree.symbol or "").startswith(WIDE_PREFIX)
 
         def emit_wide_store(ctx, args):
             slot = args[0]
@@ -373,7 +373,7 @@ class TC25(TargetModel):
                           comment="wide reload, low (unsigned)"))
             return "acc"
 
-        add(Rule("acc", Term("ref", is_wide, "$wide"), Cost(2, 2),
+        add(Rule("acc", Term("ref", is_wide, WIDE_PREFIX), Cost(2, 2),
                  emit=emit_wide_reload, name="ZALH+ADDS",
                  clobbers=frozenset({"acc"})))
 

@@ -4,7 +4,8 @@ identical with every cache layer on or off.
 Three layers are crossed here -- tree interning (``repro.ir.trees``),
 the persistent BURS label cache (``repro.codegen.burg``) and the
 compiler-level matcher pool (``repro.codegen.pipeline``) -- against
-every DSPStone kernel on every shipped target.
+every DSPStone kernel on every shipped target, the ASIP included (its
+grammar is the TC25 one rebuilt according to the ASIP parameters).
 """
 
 import pytest
@@ -16,11 +17,12 @@ from repro.codegen.selector import Selector, wrap_store
 from repro.dspstone import all_kernels
 from repro.ir.fixedpoint import FixedPointContext
 from repro.ir.trees import decompose, set_tree_caching
+from repro.targets.asip import Asip
 from repro.targets.m56 import M56
 from repro.targets.risc import Risc16
 from repro.targets.tc25 import TC25
 
-TARGETS = (TC25, M56, Risc16)
+TARGETS = (TC25, M56, Risc16, Asip)
 
 
 def _kernel_assignments(spec, fpc):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.ir.fixedpoint import FixedPointContext
 from repro.ir.ranges import Interval, fits_word, tree_range, word_interval
-from repro.ir.trees import Tree
+from repro.ir.trees import WIDE_PREFIX, Tree
 
 FPC = FixedPointContext(16)
 
@@ -24,6 +24,17 @@ def test_leaves():
     wrapped = FPC.wrap(70000)
     assert tree_range(Tree.const(70000), FPC) == Interval(wrapped,
                                                           wrapped)
+
+
+def test_wide_spill_slot_is_double_word():
+    """A ``$wide`` slot holds an accumulator-width value, so a word-port
+    operator over it must not be treated as wrap-free."""
+    slot = Tree.ref(f"{WIDE_PREFIX}0")
+    assert tree_range(slot, FPC) == Interval(-(1 << 31), (1 << 31) - 1)
+    assert not fits_word(slot, FPC)
+    assert not fits_word(Tree.compute("mul", slot, Tree.const(4)), FPC)
+    # an ordinary temporary is still word-sized
+    assert fits_word(Tree.ref("$t0"), FPC)
 
 
 def test_add_widens():
