@@ -14,6 +14,7 @@ this module wires the common end-to-end path into two calls::
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple, Union
 
@@ -37,25 +38,49 @@ def available_targets() -> Tuple[str, ...]:
     return ("tc25", "m56", "risc16", "asip")
 
 
+def _new_target(name: str) -> TargetModel:
+    if name == "tc25":
+        from repro.targets.tc25 import TC25
+        return TC25()
+    if name == "m56":
+        from repro.targets.m56 import M56
+        return M56()
+    if name == "risc16":
+        from repro.targets.risc import Risc16
+        return Risc16()
+    if name == "asip":
+        from repro.targets.asip import Asip
+        return Asip()
+    raise ValueError(f"unknown target {name!r}; "
+                     f"available: {available_targets()}")
+
+
+#: One model per target name for the whole process.  A model is never
+#: mutated after construction (its grammar, rule plans and dispatch
+#: tables are memos of immutable configuration), so every compile and
+#: simulation may share it.
+_TARGET_POOL: Dict[str, TargetModel] = {}
+_TARGET_POOL_LOCK = threading.Lock()
+
+
 def _resolve_target(target: Union[str, TargetModel, None]) -> TargetModel:
+    """The pooled model for a target name (``None`` means ``"tc25"``);
+    a :class:`TargetModel` instance passes through untouched."""
     if target is None:
         target = "tc25"
-    if isinstance(target, str):
-        if target == "tc25":
-            from repro.targets.tc25 import TC25
-            return TC25()
-        if target == "m56":
-            from repro.targets.m56 import M56
-            return M56()
-        if target == "risc16":
-            from repro.targets.risc import Risc16
-            return Risc16()
-        if target == "asip":
-            from repro.targets.asip import Asip
-            return Asip()
-        raise ValueError(f"unknown target {target!r}; "
-                         f"available: {available_targets()}")
-    return target
+    if not isinstance(target, str):
+        return target
+    with _TARGET_POOL_LOCK:
+        model = _TARGET_POOL.get(target)
+        if model is None:
+            model = _TARGET_POOL[target] = _new_target(target)
+    return model
+
+
+def _clear_target_pool() -> None:
+    """Drop the pooled models: the next resolve builds new ones."""
+    with _TARGET_POOL_LOCK:
+        _TARGET_POOL.clear()
 
 
 @dataclass

@@ -76,6 +76,11 @@ class _Derivation:
 
 _State = Dict[str, _Derivation]
 
+#: The state of every subtree no rule derives, shared by all matchers
+#: and never mutated.  Most labelled subtrees are uncoverable algebraic
+#: variants and their ancestors.
+_NO_DERIVATIONS: _State = {}
+
 # Step tests of a compiled pattern (see _compile_pattern).
 _NT, _OP, _TERM = 0, 1, 2
 
@@ -110,11 +115,12 @@ class _RulePlan:
 
     __slots__ = ("rule", "nonterm", "cost", "clobbers", "guard", "steps")
 
-    def __init__(self, rule: Rule, metric: str):
+    def __init__(self, rule: Rule, metric: str,
+                 clobbers: FrozenSet[str]):
         self.rule = rule
         self.nonterm = rule.nonterm
         self.cost = rule.cost.key(metric)
-        self.clobbers = frozenset(rule.clobbers)
+        self.clobbers = clobbers
         self.guard = rule.guard
         steps: List[tuple] = []
         _compile_pattern(rule.pattern, (), steps)
@@ -124,9 +130,14 @@ class _RulePlan:
 class _PlanTable:
     """Rule plans of one grammar under one metric, built lazily: pattern
     rules per root operator, leaf rules per leaf kind, chain rules per
-    source nonterminal -- each list in grammar rule order."""
+    source nonterminal -- each list in grammar rule order.
 
-    __slots__ = ("grammar", "metric", "by_op", "by_leaf", "by_source")
+    The table also interns clobber sets: derivations union their
+    children's clobbers into a handful of distinct sets, so each label
+    state keeps one shared object per distinct set."""
+
+    __slots__ = ("grammar", "metric", "by_op", "by_leaf", "by_source",
+                 "clobber_sets")
 
     def __init__(self, grammar: TreeGrammar, metric: str):
         self.grammar = grammar
@@ -134,12 +145,21 @@ class _PlanTable:
         self.by_op: Dict[str, Tuple[_RulePlan, ...]] = {}
         self.by_leaf: Dict[OpKind, Tuple[_RulePlan, ...]] = {}
         self.by_source: Dict[str, Tuple[_RulePlan, ...]] = {}
+        self.clobber_sets: Dict[FrozenSet[str], FrozenSet[str]] = {}
+
+    def intern(self, clobbers: FrozenSet[str]) -> FrozenSet[str]:
+        """The table's one shared copy of ``clobbers``."""
+        return self.clobber_sets.setdefault(clobbers, clobbers)
+
+    def _plan(self, rule: Rule) -> _RulePlan:
+        return _RulePlan(rule, self.metric,
+                         self.intern(frozenset(rule.clobbers)))
 
     def for_op(self, op_name: str) -> Tuple[_RulePlan, ...]:
         plans = self.by_op.get(op_name)
         if plans is None:
             plans = self.by_op[op_name] = tuple(
-                _RulePlan(rule, self.metric)
+                self._plan(rule)
                 for rule in self.grammar.rules_for_op(op_name))
         return plans
 
@@ -149,7 +169,7 @@ class _PlanTable:
         plans = self.by_leaf.get(kind)
         if plans is None:
             plans = self.by_leaf[kind] = tuple(
-                plan for plan in (_RulePlan(rule, self.metric)
+                plan for plan in (self._plan(rule)
                                   for rule in self.grammar.leaf_rules())
                 if plan.steps[0][2][0] is kind)
         return plans
@@ -158,7 +178,7 @@ class _PlanTable:
         plans = self.by_source.get(source_nt)
         if plans is None:
             plans = self.by_source[source_nt] = tuple(
-                _RulePlan(rule, self.metric)
+                self._plan(rule)
                 for rule in self.grammar.chain_rules_from(source_nt))
         return plans
 
@@ -247,7 +267,6 @@ class BurgMatcher:
         for child in children:
             self._label_node(child, states)
         state: _State = {}
-        states[tree] = state
         if tree.kind is _COMPUTE:
             operator = tree.operator
             # a node of the wrong arity matches no pattern of its operator
@@ -292,9 +311,12 @@ class BurgMatcher:
                     state[plan.nonterm] = _Derivation(
                         cost, plan.rule,
                         tuple((name, node) for name, node, _ in found),
-                        clobbers, None)
+                        self._plans.intern(clobbers), None)
         if state:
             self._close_chains(state)
+            states[tree] = state
+        else:
+            states[tree] = _NO_DERIVATIONS
 
     def _close_chains(self, state: _State) -> None:
         """Relax chain rules to a fixpoint (grammars are tiny: iterate)."""
@@ -311,7 +333,9 @@ class BurgMatcher:
                     if existing is None or cost < existing.cost:
                         state[plan.nonterm] = _Derivation(
                             cost, plan.rule, (),
-                            plan.clobbers | source.clobbers, source_nt)
+                            self._plans.intern(
+                                plan.clobbers | source.clobbers),
+                            source_nt)
                         changed = True
 
     def _to_cost(self, key: Tuple[int, int]) -> Cost:

@@ -257,9 +257,9 @@ class Result:
 # Worker side
 # ----------------------------------------------------------------------
 
-# One VerifySession per process: targets, compilers (with their label
-# caches, one per (compiler, target, options)) and oracles persist
-# across every job this process handles.
+# One VerifySession per process: compilers (with their label caches,
+# one per (compiler, target, options)) and oracles persist across every
+# job this process handles, over the process's pooled target models.
 _SESSION: List[object] = []
 
 
@@ -272,7 +272,10 @@ def worker_session():
 
 
 def clear_worker_session() -> None:
-    """Drop this process's pooled session (cold-start measurements)."""
+    """Drop this process's pooled session and target models
+    (cold-start measurements)."""
+    from repro.api import _clear_target_pool
+    _clear_target_pool()
     _SESSION.clear()
 
 

@@ -32,7 +32,7 @@ import asyncio
 import json
 import logging
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 from typing import Dict, Optional, Tuple
@@ -76,7 +76,6 @@ def default_options(compiler_name: str):
     return None                   # 'hand' has no options
 
 
-@lru_cache(maxsize=None)
 def canonical_target_name(target: str) -> str:
     """The resolved target's self-reported name.
 

@@ -117,10 +117,8 @@ def measurement_key(program, target_name: str, options: RecordOptions,
 
 
 # ----------------------------------------------------------------------
-# Per-process pools (mirror repro.evalx.farm.worker_session)
+# Per-process pools (targets are pooled by repro.api._resolve_target)
 # ----------------------------------------------------------------------
-
-_TARGETS: Dict[str, object] = {}
 
 #: Oracle-expected outputs per (program-ish key): computed once per
 #: program and input batch, shared by every candidate configuration.
@@ -128,18 +126,10 @@ _EXPECTED: Dict[str, List[Dict[str, object]]] = {}
 _EXPECTED_LIMIT = 64
 
 
-def _target_for(name: str):
-    target = _TARGETS.get(name)
-    if target is None:
-        from repro.api import _resolve_target
-        target = _resolve_target(name)
-        _TARGETS[name] = target
-    return target
-
-
 def clear_measure_pools() -> None:
     """Drop this process's pooled targets and oracle results."""
-    _TARGETS.clear()
+    from repro.api import _clear_target_pool
+    _clear_target_pool()
     _EXPECTED.clear()
 
 
@@ -221,7 +211,8 @@ def _measure_uncached(program, target_name: str, options: RecordOptions,
     """Compile + simulate + oracle-check one cell (no record cache)."""
     measurement = Measurement(target=target_name,
                               options=options.to_dict())
-    target = _target_for(target_name)
+    from repro.api import _resolve_target
+    target = _resolve_target(target_name)
     try:
         compiled = RecordCompiler(target, options).compile(program)
     except Exception as exc:                           # noqa: BLE001

@@ -120,7 +120,7 @@ class ProgramVerdict:
 
 
 def make_target(name: str):
-    """Instantiate a target model by registry name."""
+    """The process's pooled target model for a registry name."""
     from repro.api import _resolve_target
     return _resolve_target(name)
 
@@ -141,15 +141,16 @@ def _make_compiler(name: str, target, options=None):
 
 
 class VerifySession:
-    """Targets, compilers and oracles pooled across ``check_program`` calls.
+    """Compilers and oracles pooled across ``check_program`` calls.
 
-    Rebuilding a target model and a compiler for every program is pure
-    overhead in a fuzz loop: target construction re-derives the grammar
-    and a fresh compiler starts with a cold BURS label cache.  A session
-    keeps one of each alive, so consecutive programs reuse the memoized
-    grammar, the matcher pool and the label cache -- exactly the
-    warm-compiler behaviour of :mod:`repro.evalx.farm` workers, which
-    keep one session per process for the lifetime of the pool.
+    Rebuilding a compiler for every program is pure overhead in a fuzz
+    loop: a fresh compiler starts with a cold BURS label cache.  A
+    session keeps one per matrix column alive (over the process's
+    pooled target models, see :func:`make_target`), so consecutive
+    programs reuse the memoized grammar, the matcher pool and the label
+    cache -- exactly the warm-compiler behaviour of
+    :mod:`repro.evalx.farm` workers, which keep one session per process
+    for the lifetime of the pool.
 
     Pooling is transparent: all pooled objects are either immutable
     configuration or caches whose hits are byte-identical to a cold
@@ -159,17 +160,12 @@ class VerifySession:
     """
 
     def __init__(self):
-        self._targets: Dict[str, object] = {}
         self._compilers: Dict[Tuple[str, str, str], object] = {}
         self._oracles: Dict[int, Oracle] = {}
 
     def target(self, name: str):
         """The pooled target model for ``name``."""
-        target = self._targets.get(name)
-        if target is None:
-            target = make_target(name)
-            self._targets[name] = target
-        return target
+        return make_target(name)
 
     def compiler(self, compiler_name: str, target_name: str,
                  options=None):
@@ -245,9 +241,10 @@ def check_program(program: Program,
     decoder fault into every simulation -- used to prove the harness
     *detects* seeded bugs, and by the shrinker's reproducer replay.
 
-    ``session`` reuses pooled targets/compilers/oracles across calls
-    (see :class:`VerifySession`); without one, everything is built
-    fresh, as a standalone call always did.
+    ``session`` reuses pooled compilers/oracles across calls (see
+    :class:`VerifySession`); without one, they are built fresh, as a
+    standalone call always did.  Target models are the process's
+    pooled ones either way.
     """
     if session is None:
         session = VerifySession()

@@ -17,6 +17,7 @@ from typing import NamedTuple, Optional, Tuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.codegen import burg
 from repro.codegen.burg import BurgMatcher
 from repro.codegen.grammar import Cost, Nt, Rule, Term
 from repro.codegen.selector import wrap_store
@@ -191,6 +192,34 @@ def test_plan_states_equal_reference(make_target, metric):
     target = make_target()
     assert_same_states(target.grammar(), metric,
                        _selection_trees(target.fpc))
+
+
+def test_uncoverable_subtrees_share_one_empty_state():
+    """Every subtree no rule derives gets the one shared empty state,
+    which stays empty after labelling on all four targets; equal
+    clobber sets are one object per plan table."""
+    # No target shifts by a variable amount.
+    shift = Tree.compute("shl", Tree.ref("a"), Tree.ref("b"))
+    uncoverable = (shift, Tree.compute("add", shift, Tree.ref("c")))
+    for make_target in (TC25, M56, Risc16, Asip):
+        target = make_target()
+        matcher = BurgMatcher(target.grammar(), "size")
+        trees = [wrap_store("y", None, uncoverable[1])]
+        trees += _selection_trees(target.fpc)
+        for tree in trees:
+            matcher.label(tree)
+        states = matcher.label(trees[0])
+        for tree in uncoverable:
+            assert states[tree] is burg._NO_DERIVATIONS
+        assert all(state is burg._NO_DERIVATIONS
+                   for state in states.values() if not state)
+        shared = {}
+        for state in states.values():
+            for derivation in state.values():
+                assert shared.setdefault(derivation.clobbers,
+                                         derivation.clobbers) \
+                    is derivation.clobbers
+    assert burg._NO_DERIVATIONS == {}
 
 
 def _random_trees():

@@ -5,6 +5,18 @@ import pytest
 from repro import (
     available_kernels, available_targets, compile_kernel, compile_source,
 )
+from repro.api import _resolve_target
+from repro.dspstone import kernel
+from repro.targets.asip import Asip
+from repro.targets.m56 import M56
+from repro.targets.risc import Risc16
+from repro.targets.tc25 import TC25
+from repro.tune.measure import clear_measure_pools
+
+FRESH = {"tc25": TC25, "m56": M56, "risc16": Risc16, "asip": Asip}
+TABLE1_COLUMNS = (("record", "tc25"), ("record", "m56"),
+                  ("record", "risc16"), ("record", "asip"),
+                  ("baseline", "tc25"))
 
 
 def test_available_listings():
@@ -52,6 +64,57 @@ def test_run_filters_outputs_only():
     from repro.dspstone import kernel
     outputs, _ = result.run(kernel("fir").inputs(0))
     assert set(outputs) == {"y"}
+
+
+# ----------------------------------------------------------------------
+# The target pool
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(FRESH))
+def test_resolve_target_pools_one_model_per_name(name):
+    first = _resolve_target(name)
+    assert isinstance(first, FRESH[name])
+    assert _resolve_target(name) is first
+    assert compile_kernel("dot_product", target=name) \
+        .compiled.target is first
+    if name == "tc25":
+        assert _resolve_target(None) is first
+
+
+def test_resolve_target_passes_models_through():
+    model = M56()
+    assert _resolve_target(model) is model
+    assert _resolve_target(model) is not _resolve_target("m56")
+
+
+def test_resolve_target_rejects_unknown_names():
+    with pytest.raises(ValueError) as info:
+        _resolve_target("z80")
+    for name in available_targets():
+        assert name in str(info.value)
+
+
+def test_clear_measure_pools_drops_pooled_targets():
+    before = _resolve_target("asip")
+    clear_measure_pools()
+    after = _resolve_target("asip")
+    assert after is not before
+    assert _resolve_target("asip") is after
+
+
+def test_pooled_listings_equal_fresh_target_listings():
+    """Every Table 1 cell compiled twice from source on the pooled
+    models lists exactly as a compile on a freshly built model."""
+    for name in available_kernels():
+        source = kernel(name).source
+        for compiler, target in TABLE1_COLUMNS:
+            fresh = compile_source(source, target=FRESH[target](),
+                                   compiler=compiler).listing()
+            for _ in range(2):
+                pooled = compile_source(source, target=target,
+                                        compiler=compiler)
+                assert pooled.compiled.target is _resolve_target(target)
+                assert pooled.listing() == fresh, (name, compiler, target)
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,10 @@ observable in the translation counters but never in results.
 """
 
 import logging
+import os
 import random
+import sys
+import threading
 
 import pytest
 
@@ -20,6 +23,8 @@ from repro.codegen.asm import (
 from repro.codegen.pipeline import RecordCompiler
 from repro.dspstone import all_kernels
 from repro.sim.decode import clear_decode_cache
+from repro.selftest.generator import Fault, FaultySim
+from repro.sim import jit
 from repro.sim.fastmachine import FastMachine
 from repro.sim.harness import load_environment, read_environment
 from repro.sim.jit import JitMachine, jit_cache_stats
@@ -275,6 +280,108 @@ def test_broken_persisted_source_warns_and_regenerates(tmp_path, caplog):
     assert any(record.name == "repro.sim.jit" and entry.stem
                in record.getMessage() for record in caplog.records)
     assert entry.read_text() == good_source, "entry must be rewritten"
+    # The broken text missed the module memo and was never stored.
+    assert list(jit._MODULES) == [good_source]
+    assert jit_cache_stats()["module_misses"] == 2
+
+
+# ----------------------------------------------------------------------
+# The compiled-module memo
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("store", [False, True],
+                         ids=["generated", "from-store"])
+def test_same_code_in_a_new_codeseq_is_a_module_hit(tmp_path, store):
+    """A second compile of a kernel brings a new CodeSeq, so a new
+    decode and translation; its module text (regenerated, or read from
+    the store) is one this process already compiled."""
+    target = TC25()
+    spec = next(s for s in all_kernels() if s.name == "fir")
+    inputs = spec.inputs(seed=0)
+
+    def run_fresh_compile():
+        compiled = RecordCompiler(target).compile(spec.program)
+        state = target.initial_state()
+        load_environment(compiled, inputs, state)
+        JitMachine(target).run(compiled.code, state)
+        return read_environment(compiled, state), state.cycles
+
+    try:
+        if store:
+            repro.cache.configure(tmp_path / "cache")
+        first = run_fresh_compile()
+        second = run_fresh_compile()
+        stats = jit_cache_stats()
+    finally:
+        repro.cache.configure(None)
+    assert second == first
+    assert stats["misses"] == 2
+    assert (stats["module_misses"], stats["module_hits"]) == (1, 1)
+    if store:
+        assert stats["source_cache_hits"] == 1
+
+
+def test_faulty_translation_never_shares_a_clean_module():
+    target = TC25()
+    code = CodeSeq([ins("ZAC"), ins("ADDK", Imm(5)),
+                    ins("SACL", direct(0))])
+    clean = JitMachine(target).run(code)
+    faulty = JitMachine(FaultySim(target, Fault("ADDK", "SUBK"))).run(code)
+    stats = jit_cache_stats()
+    assert (stats["module_misses"], stats["module_hits"]) == (2, 0)
+    assert (clean.mem[0], faulty.mem[0]) == (5, -5)
+
+
+def test_module_memo_under_thread_contention(monkeypatch):
+    """More threads than cores, a short switch interval and twice as
+    many distinct modules as the memo holds (a bound of 4, so threads
+    keep evicting what another one just read): no exception, the memo
+    stays within its bound, no memo count is lost, and every thread
+    sees the serial run's states."""
+    monkeypatch.setattr(jit, "_MODULE_LIMIT", 4)
+    target = TC25()
+    count = 2 * jit._MODULE_LIMIT
+    rounds = 600
+
+    def run(k):
+        code = CodeSeq([ins("ZAC"), ins("ADDK", Imm(k)),
+                        ins("SACL", direct(0))])
+        state = JitMachine(target).run(code)
+        return state.regs, state.mem, state.modes, state.cycles
+
+    serial = [run(k) for k in range(count)]
+    clear_decode_cache()
+    workers = 4 * (os.cpu_count() or 1)
+    failures = []
+
+    def worker(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(rounds):
+                k = rng.randrange(count)
+                if run(k) != serial[k]:
+                    failures.append(("state", k))
+        except Exception as exc:                       # noqa: BLE001
+            failures.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(seed,))
+               for seed in range(workers)]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert len(jit._MODULES) <= jit._MODULE_LIMIT
+    stats = jit_cache_stats()
+    assert stats["fallbacks"] == 0
+    assert stats["module_hits"] + stats["module_misses"] \
+        == workers * rounds
 
 
 def test_clear_decode_cache_clears_jit_cache():
