@@ -3,10 +3,10 @@
 Compiling is by far the most expensive cell of the conformance matrix
 (~90% of a cold ``python -m repro.verify`` run), and it is a pure
 function of (program, compiler+options, target, code version).  This
-package memoizes it **across processes and runs**: artifacts live under
-a cache directory (``.repro-cache/`` by convention), keyed by a content
-digest, so a warm CI run or a repeated verify invocation compiles
-nothing at all.
+package memoizes it **across processes and runs**: artifacts live in
+one SQLite database under a cache directory (``.repro-cache/store.db``
+by convention), keyed by a content digest, so a warm CI run or a
+repeated verify invocation compiles nothing at all.
 
 The cache is *opt-in per process*: nothing is read or written until
 :func:`configure` installs an active cache, which the verify CLI, the
@@ -20,9 +20,9 @@ Usage::
     ...                                      # compiles now hit the cache
     repro.cache.configure(None)              # deactivate
 
-See :mod:`repro.cache.artifacts` for the storage design (atomic writes,
-LRU size bound, corruption tolerance) and :mod:`repro.cache.version`
-for the invalidation stamp.
+See :mod:`repro.cache.artifacts` for the storage design (one
+transaction per entry, LRU size bound, corruption tolerance) and
+:mod:`repro.cache.version` for the invalidation stamp.
 """
 
 from __future__ import annotations
@@ -65,8 +65,11 @@ def configure(root: Optional[object],
     """Install (or with ``root=None`` remove) the process-wide cache.
 
     Returns the now-active cache, so callers can read its stats later.
+    The cache it replaces is closed.
     """
     global _ACTIVE
+    if _ACTIVE is not None:
+        _ACTIVE.close()
     _ACTIVE = None if root is None \
         else ArtifactCache(Path(root), max_bytes=max_bytes)
     return _ACTIVE

@@ -11,7 +11,8 @@ Interval rules mirror the expression semantics of
 constants are word-sized, except the selector's double-word spill
 slots (``$wide`` refs), which hold an accumulator-width value;
 operators realized by word-width machine ports (mul / logic / min /
-max) wrap their operands first; the accumulation chain
+max) wrap their operands first, so an operand that can leave the word
+can become any word value; the accumulation chain
 (add/sub/neg/abs/shifts) is tracked exactly; ``sat`` and ``wrap``
 re-clamp.
 """
@@ -77,9 +78,13 @@ def _combine(op_name: str, a: Interval, b: Optional[Interval],
              fpc: FixedPointContext) -> Interval:
     word = word_interval(fpc)
     if op_name in FixedPointContext.WORD_OPERAND_OPS:
-        a = a.clamp(word)
-        if b is not None:
-            b = b.clamp(word)
+        # The port wraps an operand that can leave the word, and a
+        # wrapped value can be any word value: clamping would be
+        # unsound (65536 wraps to 0, not to 32767).
+        if not a.within(word):
+            a = word
+        if b is not None and not b.within(word):
+            b = word
         if op_name == "mul":
             corners = [a.lo * b.lo, a.lo * b.hi, a.hi * b.lo,
                        a.hi * b.hi]

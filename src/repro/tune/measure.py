@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.codegen.pipeline import RecordCompiler, RecordOptions
 
@@ -95,13 +95,16 @@ class Measurement:
 
 def measurement_key(program, target_name: str, options: RecordOptions,
                     input_sets: Sequence[Mapping[str, object]],
-                    sim: str = "jit") -> Optional[str]:
+                    sim: str = "jit",
+                    on_error: Optional[Callable[[Exception], None]] = None
+                    ) -> Optional[str]:
     """Content key of one measurement cell (``None``: uncacheable).
 
     The :func:`repro.cache.content_key` recipe over the program in
     corpus spec form, the options through the canonical
     :func:`~repro.cache.options_payload` normalization, the input
-    environments and the simulator tier.
+    environments and the simulator tier.  ``on_error`` hears why a
+    cell has no key.
     """
     from repro.cache import content_key, options_payload
     from repro.verify.corpus import program_to_spec
@@ -113,7 +116,7 @@ def measurement_key(program, target_name: str, options: RecordOptions,
         "options": options_payload(options),
         "inputs": list(input_sets),
         "sim": sim,
-    })
+    }, on_error=on_error)
 
 
 # ----------------------------------------------------------------------
@@ -191,7 +194,8 @@ def measure_cell(program, target_name: str, options: RecordOptions,
     key = None
     if cache is not None:
         key = measurement_key(program, target_name, options,
-                              input_sets, sim)
+                              input_sets, sim,
+                              on_error=cache.note_uncacheable)
         if key is not None:
             record = cache.get_record(key)
             if record is not None \

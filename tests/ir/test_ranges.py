@@ -88,6 +88,20 @@ def test_neg_abs():
                       FPC) == Interval(5, 5)
 
 
+def test_word_port_operand_wraps_to_any_word_value():
+    """A word port wraps an operand that leaves the word; clamping it
+    would claim [-32768, 0] for a product that evaluates to 32736."""
+    tree = Tree.compute(
+        "mul", Tree.const(1),
+        Tree.compute("shl", Tree.compute("min", Tree.ref("a"),
+                                         Tree.const(0)), Tree.const(5)))
+    value = tree.evaluate({"a": -1025}, FPC)
+    assert value == 32736
+    interval = tree_range(tree, FPC)
+    assert interval.lo <= value <= interval.hi
+    assert interval == word_interval(FPC)
+
+
 def leaf_values():
     return st.integers(min_value=FPC.min_value, max_value=FPC.max_value)
 

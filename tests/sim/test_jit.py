@@ -34,6 +34,7 @@ from repro.targets.m56 import M56
 from repro.targets.model import emitter
 from repro.targets.risc import Risc16
 from repro.targets.tc25 import TC25
+from tests.cache.store_rows import connect, read_row, rewrite_row
 
 TIERS = ((Machine, "reference"), (FastMachine, "fast"),
          (JitMachine, "jit"))
@@ -268,18 +269,24 @@ def test_broken_persisted_source_warns_and_regenerates(tmp_path, caplog):
     try:
         cache = repro.cache.configure(tmp_path / "cache")
         clean = run_once()
-        [entry] = cache.root.glob("jit/*/*.py")
-        good_source = entry.read_text()
-        entry.write_text("def broken(:\n")
+        db = connect(cache)
+        try:
+            [(key, good_blob)] = db.execute(
+                "SELECT key, blob FROM entries WHERE kind = 'source'")
+        finally:
+            db.close()
+        good_source = good_blob.decode("utf-8")
+        rewrite_row(cache, "source", key, blob=b"def broken(:\n")
         clear_decode_cache()                # drop in-process caches only
         with caplog.at_level(logging.WARNING, logger="repro.sim.jit"):
             rerun = run_once()
+        rewritten, _atime = read_row(cache, "source", key)
     finally:
         repro.cache.configure(None)
     assert rerun == clean
-    assert any(record.name == "repro.sim.jit" and entry.stem
+    assert any(record.name == "repro.sim.jit" and key
                in record.getMessage() for record in caplog.records)
-    assert entry.read_text() == good_source, "entry must be rewritten"
+    assert rewritten == good_blob, "entry must be rewritten"
     # The broken text missed the module memo and was never stored.
     assert list(jit._MODULES) == [good_source]
     assert jit_cache_stats()["module_misses"] == 2

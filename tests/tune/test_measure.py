@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 
 import pytest
 
@@ -58,6 +59,22 @@ def test_compile_error_is_a_measurement_not_a_crash(m56):
     assert measurement.error_type == "CompileError"
     assert not measurement.correct
     assert measurement.total_cycles == 0
+
+
+def test_uncacheable_cell_is_measured_and_counted(active, caplog):
+    """A cell whose key cannot be derived (here: an input value JSON
+    cannot express) is measured uncached and counted, not dropped."""
+    program, target, options, _inputs = _cell()
+    inputs = [{name: object() for name, symbol in program.symbols.items()
+               if symbol.role == "input"}]
+    with caplog.at_level(logging.WARNING, logger="repro.cache"):
+        first = measure_cell(program, target, options, inputs)
+        second = measure_cell(program, target, options, inputs)
+    assert not first.cached and not second.cached
+    assert active.stats.uncacheable == 2
+    assert active.stats.to_json()["uncacheable"] == 2
+    assert len([record for record in caplog.records
+                if "uncacheable" in record.getMessage()]) == 1
 
 
 def test_record_replay_is_byte_identical(active):

@@ -35,6 +35,7 @@ from repro.selftest.generator import Fault
 from repro.verify.corpus import program_to_spec
 from repro.verify.diff import run_conformance
 from repro.verify.progen import generate_inputs, generate_program
+from tests.cache.store_rows import connect
 
 
 @pytest.fixture(autouse=True)
@@ -195,8 +196,14 @@ def test_run_conformance_jobs_survive_pool_failure(monkeypatch):
 def test_corrupt_cache_entries_recompile_with_warning(tmp_path, caplog):
     cache = repro.cache.configure(tmp_path / "cache")
     clean = run_conformance(count=2, seed=0, targets=("tc25",))
-    for path in cache.root.glob("*/*.pkl"):
-        path.write_bytes(b"flipped bits, truncated writes, bit rot")
+    db = connect(cache)
+    try:
+        flipped = db.execute(
+            "UPDATE entries SET blob = ? WHERE kind = 'artifact'",
+            (b"flipped bits, truncated writes, bit rot",)).rowcount
+    finally:
+        db.close()
+    assert flipped > 0
     with caplog.at_level(logging.WARNING, logger="repro.cache"):
         rerun = run_conformance(count=2, seed=0, targets=("tc25",))
     assert _triage(rerun) == _triage(clean)
