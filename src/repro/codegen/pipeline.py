@@ -17,11 +17,15 @@ Stage order::
 
 Every stage is switchable through :class:`RecordOptions` so the
 ablation benchmarks can quantify each design choice separately.
+Selection reads only the options named in :data:`SELECTION_FIELDS`;
+:meth:`RecordCompiler.select` runs it and :meth:`RecordCompiler.finish`
+runs every later stage, so compiles that agree on those fields can
+share one selection (:class:`SelectionMemo`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from time import perf_counter
 from typing import Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
@@ -33,7 +37,7 @@ from repro.codegen.compiled import (
 )
 from repro.codegen.grammar import EmitContext
 from repro.codegen.modes import minimize_mode_changes
-from repro.codegen.selector import Selector
+from repro.codegen.selector import SelectionStats, Selector
 from repro.codegen.structure import LoopNode, Run, parse
 from repro.ir.program import Block, Loop, Program, ProgramItem
 from repro.ir.trees import decompose
@@ -103,6 +107,70 @@ class RecordOptions:
             kwargs["scalar_order"] = tuple(kwargs["scalar_order"])
         return cls(**kwargs)
 
+    def selection_key(self) -> Tuple:
+        """The values of :data:`SELECTION_FIELDS`: options with equal
+        keys select identical code for a program on a target."""
+        return tuple(getattr(self, name) for name in SELECTION_FIELDS)
+
+
+#: The :class:`RecordOptions` fields instruction selection reads: the
+#: metric and the matcher's label cache, and the algebraic-variant
+#: search.  Every other field only steers the stages after selection,
+#: so selected code is a function of (program, target, these fields).
+#: ``tests/codegen/test_selection_key.py`` changes every other field
+#: and holds the selected code byte-identical, so this declaration
+#: cannot drift from :meth:`RecordCompiler.select`.
+SELECTION_FIELDS = ("metric", "algebraic", "variant_limit", "label_cache")
+
+
+@dataclass
+class Selection:
+    """Selection's output: symbolic code with loop markers, its stats
+    and the seconds it took."""
+
+    code: CodeSeq
+    stats: SelectionStats
+    seconds: float
+
+    def copy(self) -> "Selection":
+        """The same selection over a fresh code list, for a compile whose
+        later stages may edit the list."""
+        return replace(self, code=self.code.copy())
+
+    def replayed(self) -> "Selection":
+        """A copy for a compile that reuses this selection: the same code
+        and code counts, but none of the work (no seconds, no label
+        cache hits or misses)."""
+        return Selection(self.code.copy(), self.stats.replayed(), 0.0)
+
+
+class SelectionMemo:
+    """Selection work shared by the compilers of one program on one target.
+
+    Label states depend only on the grammar, the metric and the
+    subtree, so one matcher per metric serves every compiler the memo is
+    handed.  Selection reads only :data:`SELECTION_FIELDS`, so the first
+    compile of each selection key selects and later ones finish a
+    replayed copy.  The memo is keyed by the selection fields alone:
+    hand it to compilers of one program and one target only.
+    """
+
+    def __init__(self) -> None:
+        self.matchers: Dict[str, BurgMatcher] = {}
+        self._selections: Dict[Tuple, Selection] = {}
+
+    def selection(self, compiler: "RecordCompiler",
+                  program: Program) -> Selection:
+        """``compiler``'s selection of ``program``, selected at most once
+        per selection key."""
+        key = compiler.options.selection_key()
+        selection = self._selections.get(key)
+        if selection is not None:
+            return selection.replayed()
+        selection = compiler.select(program)
+        self._selections[key] = selection
+        return selection.copy()
+
 
 class CompileError(Exception):
     """A program cannot be compiled for the chosen target."""
@@ -114,15 +182,21 @@ class RecordCompiler:
     name = "record"
 
     def __init__(self, target: "TargetModel",
-                 options: Optional[RecordOptions] = None):
+                 options: Optional[RecordOptions] = None,
+                 memo: Optional[SelectionMemo] = None):
+        """``memo`` shares selection work with other compilers of the
+        same program and target (see :class:`SelectionMemo`)."""
         self.target = target
         self.options = options or RecordOptions()
+        self._memo = memo
         # Matcher pool, keyed by metric: BURS label states depend only
         # on the (immutable) grammar and the subtree, so one labeller --
         # and its label cache -- serves every compile() of this
-        # compiler.  Kernels of a suite share many subtrees (MAC sums,
-        # delay-line shifts), which the cache turns into O(1) lookups.
-        self._matchers: Dict[str, BurgMatcher] = {}
+        # compiler (of every compiler sharing its memo).  Kernels of a
+        # suite share many subtrees (MAC sums, delay-line shifts),
+        # which the cache turns into O(1) lookups.
+        self._matchers: Dict[str, BurgMatcher] = \
+            memo.matchers if memo is not None else {}
 
     def _matcher_for(self, metric: str) -> BurgMatcher:
         matcher = self._matchers.get(metric)
@@ -147,8 +221,14 @@ class RecordCompiler:
 
     def _compile_uncached(self, program: Program) -> CompiledProgram:
         """Run the full RECORD pipeline on a lowered program."""
+        selection = self.select(program) if self._memo is None \
+            else self._memo.selection(self, program)
+        return self.finish(program, selection)
+
+    def select(self, program: Program) -> Selection:
+        """Instruction selection over every block of ``program``; reads
+        only the :data:`SELECTION_FIELDS` of the options."""
         options = self.options
-        timings: Dict[str, float] = {}
         started = perf_counter()
         selector = Selector(self.target.grammar(), metric=options.metric,
                             algebraic=options.algebraic,
@@ -162,8 +242,16 @@ class RecordCompiler:
         loop_counter = [0]
         self._select_items(program.body, selector, ctx, temp_counter,
                            loop_counter)
-        code = ctx.code
-        timings["selection"] = perf_counter() - started
+        return Selection(ctx.code, selector.stats,
+                         perf_counter() - started)
+
+    def finish(self, program: Program,
+               selection: Selection) -> CompiledProgram:
+        """The stages after selection, on ``selection``'s code (which
+        they may edit)."""
+        options = self.options
+        timings: Dict[str, float] = {"selection": selection.seconds}
+        code = selection.code
 
         started = perf_counter()
         read_only = read_only_input_arrays(program)
@@ -210,8 +298,8 @@ class RecordCompiler:
         timings["finalize"] = perf_counter() - started
 
         # Sub-stage detail measured inside selection:
-        timings["variants"] = selector.stats.variant_seconds
-        timings["labeling"] = selector.stats.label_seconds
+        timings["variants"] = selection.stats.variant_seconds
+        timings["labeling"] = selection.stats.label_seconds
 
         return CompiledProgram(
             name=program.name,
@@ -222,7 +310,7 @@ class RecordCompiler:
             pmem_tables=list(tables),
             compiler=self.name,
             stats={
-                "selection": selector.stats,
+                "selection": selection.stats,
                 "words": code.words(),
                 "timings": timings,
             },

@@ -19,7 +19,7 @@ Two extra mechanisms make selection total on real input:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import List, Optional, Sequence, Tuple
 
@@ -49,6 +49,9 @@ class SelectionStats:
     # which is only safe when the consumer port wraps anyway -- counted
     # so wide spills are observable (see ir.ranges)
     wide_spills: int = 0
+    # the wide spills whose wrapped value can reach the store changed
+    # (see _wrap_reaches_store); wide_spills - unsafe_spills are safe
+    unsafe_spills: int = 0
     # times the coverage-only variant rescue was needed (algebraic=False)
     rescues: int = 0
     total_cost: Cost = field(default_factory=Cost)
@@ -65,6 +68,12 @@ class SelectionStats:
         """Fraction of subtree labelings answered by the cache."""
         total = self.label_hits + self.label_misses
         return self.label_hits / total if total else 0.0
+
+    def replayed(self) -> "SelectionStats":
+        """These stats for a compile that reuses the selection: the same
+        code counts, none of the work (label lookups and seconds)."""
+        return replace(self, label_hits=0, label_misses=0,
+                       variant_seconds=0.0, label_seconds=0.0)
 
 
 def wrap_store(symbol: str, index: Optional[ArrayIndex],
@@ -194,7 +203,9 @@ class Selector:
         when the target has none -- or the wide slot cannot be consumed
         where the subtree sat -- does the cut fall back to a word-sized
         cell (counted in ``stats.wide_spills``: the value wraps there,
-        which is only harmless for wrap-consuming positions).
+        which is only harmless for wrap-consuming positions; a spill
+        whose wrap can reach the store is also counted in
+        ``stats.unsafe_spills``).
         """
         candidate = self._find_cut(tree)
         if candidate is None:
@@ -211,6 +222,9 @@ class Selector:
                 return result
         if wide:
             self.stats.wide_spills += 1
+            if _wrap_reaches_store(tree, candidate,
+                                   word_store=goal == self.GOAL):
+                self.stats.unsafe_spills += 1
         temp = ctx.scratch()
         cut_cost = self._select(temp.symbol, None, candidate, ctx)
         replaced = _replace_subtree(tree, candidate, Tree.ref(temp.symbol))
@@ -278,6 +292,50 @@ class Selector:
             if self.matcher.cover_cost(wrapped, self.GOAL) is not None:
                 return constant
         return None
+
+
+# How a node's value compares after a cut value below it is wrapped to
+# the word: unchanged, congruent modulo the word, or possibly neither.
+_EXACT, _CONGRUENT, _CHANGED = 0, 1, 2
+
+#: Consumers that reduce their operands to the word anyway, as the
+#: store does (decompose's wrapping consumers).
+_WORD_PORTS = FixedPointContext.WORD_OPERAND_OPS | {"wrap"}
+#: Consumers that keep a value congruent modulo the word (for ``shl``
+#: only through the shifted operand).
+_RING_OPS = frozenset({"add", "sub", "neg", "shl"})
+
+
+def _after_wrap(node: Tree, cut: Tree) -> int:
+    """``node``'s value once every ``cut`` below it is wrapped."""
+    if node == cut:
+        return _CONGRUENT
+    if not node.children:
+        return _EXACT
+    states = [_after_wrap(child, cut) for child in node.children]
+    worst = max(states)
+    if worst != _CONGRUENT:
+        return worst
+    name = node.operator.name
+    if name in _WORD_PORTS:
+        return _EXACT
+    if name in _RING_OPS and (name != "shl" or states[1] == _EXACT):
+        return _CONGRUENT
+    return _CHANGED
+
+
+def _wrap_reaches_store(tree: Tree, cut: Tree, word_store: bool) -> bool:
+    """Whether spilling ``cut`` through a word cell can change what the
+    store of ``tree`` writes.
+
+    Walking up from the cut, the wrapped value stays congruent to the
+    true one through ``add``/``sub``/``neg``/``shl``, and is harmless
+    once it meets a word port or a word store.  Any other consumer
+    (``sat``, ``shr``, ``abs``, ...) on the way, or a double-word store,
+    sees the wrap.
+    """
+    state = _after_wrap(tree, cut)
+    return state == _CHANGED or (state == _CONGRUENT and not word_store)
 
 
 def _replace_subtree(tree: Tree, target: Tree, replacement: Tree) -> Tree:

@@ -203,23 +203,27 @@ class ShardJob:
 
 @dataclass(frozen=True)
 class MeasureJob:
-    """One autotuner measurement cell, picklable by construction.
+    """Autotuner measurements of one selection-key group, picklable by
+    construction.
 
     Every ingredient travels as a *canonical JSON string* (sorted
     keys), not a dict, so the job is its own content key and two jobs
-    measuring the same cell compare equal.  ``program_spec`` is the
-    corpus form of the program, ``options_json`` a
-    :meth:`RecordOptions.to_dict` blob, ``inputs_json`` the list of
-    input environments to accumulate cycles over, ``sim`` the
-    simulator tier to measure with.  The payload is the
-    :class:`~repro.tune.measure.Measurement`; a *compile* failure of
-    the measured configuration is not an error but a measurement with
-    an ``error`` field, so the tuner can disqualify it and go on.
+    measuring the same candidates compare equal.  ``program_spec`` is
+    the corpus form of the program, ``options_group`` the
+    :meth:`RecordOptions.to_dict` blobs of candidates that share one
+    :meth:`~repro.codegen.pipeline.RecordOptions.selection_key`,
+    ``inputs_json`` the list of input environments to accumulate cycles
+    over, ``sim`` the simulator tier to measure with.  The job measures
+    its group through one :class:`~repro.tune.measure.TuneCell`, so the
+    group selects once.  The payload is the list of
+    :class:`~repro.tune.measure.Measurement` objects, in group order; a
+    *compile* failure of a candidate is not an error but a measurement
+    with an ``error`` field, so the tuner can disqualify it and go on.
     """
 
     program_spec: str
     target: str = "tc25"
-    options_json: str = "{}"
+    options_group: Tuple[str, ...] = ()
     inputs_json: str = "[]"
     sim: str = "jit"
 
@@ -228,14 +232,17 @@ class MeasureJob:
         return self
 
     def run(self):
-        """Measure the cell (through the persistent record cache)."""
+        """Measure the group (through the persistent record cache)."""
         from repro.codegen.pipeline import RecordOptions
-        from repro.tune.measure import measure_cell
+        from repro.tune.measure import TuneCell, measure_cell
         from repro.verify.corpus import program_from_spec
-        return measure_cell(
-            program_from_spec(json.loads(self.program_spec)), self.target,
-            RecordOptions.from_dict(json.loads(self.options_json)),
-            json.loads(self.inputs_json), sim=self.sim)
+        program = program_from_spec(json.loads(self.program_spec))
+        input_sets = json.loads(self.inputs_json)
+        cell = TuneCell(program, self.target, input_sets, self.sim)
+        return [measure_cell(program, self.target,
+                             RecordOptions.from_dict(json.loads(options)),
+                             input_sets, sim=self.sim, cell=cell)
+                for options in self.options_group]
 
 
 @dataclass

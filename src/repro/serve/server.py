@@ -176,11 +176,9 @@ class CompileService:
         try:
             request = parse_request(payload)
         except ProtocolError as exc:
-            self.stats.count(None)
-            self.stats.errors += 1
             request_id = payload.get("id") if isinstance(payload, dict) \
                 else None
-            return error_response(request_id, str(exc), "ProtocolError")
+            return self.reject(str(exc), request_id)
         self.stats.count(request.op)
         try:
             response = await self._dispatch(request)
@@ -192,6 +190,13 @@ class CompileService:
                                   type(exc).__name__, op=request.op)
         self.stats.responses += 1
         return response
+
+    def reject(self, message: str, request_id: object = None) -> dict:
+        """Count one request the protocol rejects and answer it with a
+        ``ProtocolError`` envelope."""
+        self.stats.count(None)
+        self.stats.errors += 1
+        return error_response(request_id, message, "ProtocolError")
 
     async def _dispatch(self, request: Request) -> dict:
         if request.op == "ping":
@@ -495,7 +500,15 @@ class ReproServer:
         tasks: set = set()
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError as exc:
+                    # Longer than the stream limit: the rest of the line
+                    # is still unread, so the stream cannot be resumed.
+                    await self._send(writer, write_lock,
+                                     self.service.reject(
+                                         f"request line too long: {exc}"))
+                    break
                 if not line:
                     break
                 line = line.strip()
@@ -504,8 +517,9 @@ class ReproServer:
                 try:
                     payload = json.loads(line)
                 except json.JSONDecodeError as exc:
-                    await self._send(writer, write_lock, error_response(
-                        None, f"bad JSON: {exc}", "ProtocolError"))
+                    await self._send(writer, write_lock,
+                                     self.service.reject(
+                                         f"bad JSON: {exc}"))
                     continue
                 task = asyncio.get_running_loop().create_task(
                     self._respond(payload, writer, write_lock))

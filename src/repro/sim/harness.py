@@ -8,8 +8,10 @@ coefficient tables, executes, and reads every program symbol back.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
+from repro.codegen.asm import AsmInstr
 from repro.codegen.compiled import CompiledProgram
 from repro.ir.fixedpoint import FixedPointContext
 from repro.sim.fastmachine import FastMachine
@@ -151,3 +153,36 @@ def cycles_of(compiled: CompiledProgram,
     """Cycle count of one invocation (fresh machine)."""
     _, state = run_compiled(compiled, env, fast_sim=fast_sim, sim=sim)
     return state.cycles
+
+
+def _item_identity(item) -> object:
+    if isinstance(item, AsmInstr):
+        return (item.opcode, item.operands, item.words, item.cycles,
+                sorted(item.modes.items()),
+                [_item_identity(move) for move in item.parallel])
+    return item
+
+
+def simulation_digest(compiled: CompiledProgram, sim: str) -> str:
+    """SHA-256 of everything the ``sim`` tier reads from ``compiled``.
+
+    Programs with equal digests simulate identically on every input:
+    the digest covers each code item (an instruction's opcode, operands,
+    words, cycles, modes and packed parallel moves; labels), the memory
+    map's addresses and sizes, the program-memory tables, which symbols
+    are arrays, the target and the tier.  It leaves out what no
+    simulator reads: the program and compiler names, comments and
+    stats.
+    """
+    memory_map = compiled.memory_map
+    payload = (
+        compiled.target.name, sim,
+        [_item_identity(item) for item in compiled.code],
+        list(memory_map.addresses.items()),
+        list(memory_map.sizes.items()),
+        compiled.pmem_tables,
+        sorted(name for name, symbol in compiled.symbols.items()
+               if symbol.is_array),
+    )
+    return hashlib.sha256(repr(payload).encode()).hexdigest()
+

@@ -14,8 +14,10 @@ system can consult.
 Layers (each its own module):
 
 - :mod:`repro.tune.space`   -- the knob space, target-aware;
-- :mod:`repro.tune.measure` -- one cached, oracle-checked cycle
-  measurement (records live in the persistent artifact cache);
+- :mod:`repro.tune.measure` -- cached, oracle-checked cycle
+  measurements through a tune cell that selects once per selection
+  key and simulates once per compiled program (records live in the
+  persistent artifact cache);
 - :mod:`repro.tune.search`  -- the staged, budgeted, farm-parallel
   search (screen single-knob deviations, cross the movers);
 - :mod:`repro.tune.db`      -- the atomic-JSON tuning database;

@@ -1,6 +1,6 @@
-"""One tuner measurement: compile a configuration, count real cycles.
+"""Tuner measurements: compile a configuration, count real cycles.
 
-A *measurement cell* is ``(program, target, options, input sets, sim
+A *measurement* is ``(program, target, options, input sets, sim
 tier)``.  Measuring it means compiling the program with exactly those
 options (through the ordinary artifact-cached compile path), running
 every input set on the requested simulator tier (the jit tier by
@@ -19,21 +19,43 @@ simulated outputs against the independent IR-level oracle
   combination a target rejects (:class:`CompileError`) is a valid
   search outcome, not a crash.
 
+Every measurement goes through a :class:`TuneCell`: one program, target,
+input batch and tier, whose candidates differ only in their options.
+The cell shares what those candidates have in common:
+
+- selection runs once per selection key
+  (:data:`~repro.codegen.pipeline.SELECTION_FIELDS`), and each
+  candidate finishes the later stages on a copy of the selected code;
+- one BURS matcher per metric serves every candidate, since label
+  states depend only on grammar, metric and subtree;
+- the oracle reference is computed once, and each distinct compiled
+  program (by :func:`~repro.sim.harness.simulation_digest`) is
+  simulated and oracle-checked once: a later candidate with the same
+  digest takes its cycles, verdict and error, with its own options and
+  words.
+
+The tuner builds one cell per :func:`~repro.tune.search.tune_program`
+call and a farm :class:`~repro.evalx.farm.MeasureJob` one per job; a
+bare :func:`measure_cell` call is a cell of one.  A cell lives only as
+long as its caller holds it.
+
 Records are content-addressed in the persistent
 :class:`~repro.cache.ArtifactCache` (:meth:`get_record` /
 :meth:`put_record`) keyed by every ingredient plus the code-version
-stamp, so re-tuning a kernel is free: the second run replays the
-measurement table byte-for-byte with zero fresh compiles and zero
-fresh simulations (``tests/tune/test_measure.py`` pins this).
+stamp -- by options, not by listing -- so re-tuning a kernel is free:
+the second run replays the measurement table byte-for-byte with zero
+fresh compiles and zero fresh simulations
+(``tests/tune/test_measure.py`` pins this).  ``cached`` marks such a
+replay only; a result reused inside a cell is a fresh measurement.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.codegen.pipeline import RecordCompiler, RecordOptions
+from repro.codegen.pipeline import RecordCompiler, RecordOptions, \
+    SelectionMemo
 
 RECORD_FORMAT = 1
 
@@ -44,7 +66,8 @@ MAX_STEPS = 2_000_000
 
 @dataclass
 class Measurement:
-    """One measured cell (see module docstring for field semantics)."""
+    """One measured candidate (see module docstring for field
+    semantics)."""
 
     target: str
     options: Dict[str, object]
@@ -98,13 +121,13 @@ def measurement_key(program, target_name: str, options: RecordOptions,
                     sim: str = "jit",
                     on_error: Optional[Callable[[Exception], None]] = None
                     ) -> Optional[str]:
-    """Content key of one measurement cell (``None``: uncacheable).
+    """Content key of one measurement (``None``: uncacheable).
 
     The :func:`repro.cache.content_key` recipe over the program in
     corpus spec form, the options through the canonical
     :func:`~repro.cache.options_payload` normalization, the input
     environments and the simulator tier.  ``on_error`` hears why a
-    cell has no key.
+    measurement has no key.
     """
     from repro.cache import content_key, options_payload
     from repro.verify.corpus import program_to_spec
@@ -119,21 +142,10 @@ def measurement_key(program, target_name: str, options: RecordOptions,
     }, on_error=on_error)
 
 
-# ----------------------------------------------------------------------
-# Per-process pools (targets are pooled by repro.api._resolve_target)
-# ----------------------------------------------------------------------
-
-#: Oracle-expected outputs per (program-ish key): computed once per
-#: program and input batch, shared by every candidate configuration.
-_EXPECTED: Dict[str, List[Dict[str, object]]] = {}
-_EXPECTED_LIMIT = 64
-
-
 def clear_measure_pools() -> None:
-    """Drop this process's pooled targets and oracle results."""
+    """Drop this process's pooled target models (cold-start runs)."""
     from repro.api import _clear_target_pool
     _clear_target_pool()
-    _EXPECTED.clear()
 
 
 def _outputs_of(program, env: Mapping[str, object]) -> Dict[str, object]:
@@ -142,36 +154,109 @@ def _outputs_of(program, env: Mapping[str, object]) -> Dict[str, object]:
             if symbol.role == "output" and name in env}
 
 
-def expected_outputs(program, target,
-                     input_sets: Sequence[Mapping[str, object]]
-                     ) -> List[Dict[str, object]]:
-    """Oracle-expected outputs per input set (pooled per process).
+# ----------------------------------------------------------------------
+# The cell
+# ----------------------------------------------------------------------
 
-    This is the differential safety net's reference side: it shares
-    nothing with the compiler or the simulators (see
-    :mod:`repro.verify.oracle`), so "tuned code still agrees" is
-    evidence, not a tautology.
+@dataclass(frozen=True)
+class _Run:
+    """What simulating one compiled program over the cell's inputs gave."""
+
+    cycles: Tuple[int, ...] = ()
+    correct: bool = False
+    error: Optional[str] = None
+    error_type: Optional[str] = None
+
+
+class TuneCell:
+    """One program, target, input batch and tier, measured under many
+    options; shares their selections, matchers, oracle reference and
+    simulations (see the module docstring).
+
+    Hold a cell only as long as the candidates it measures: it keeps
+    every selection, matcher and simulation result of the cell.
     """
-    try:
-        from repro.verify.corpus import program_to_spec
-        cache_key = json.dumps({
-            "program": program_to_spec(program),
-            "inputs": list(input_sets),
-            "width": target.fpc.width,
-        }, sort_keys=True)
-    except Exception:                                  # noqa: BLE001
-        cache_key = None
-    if cache_key is not None and cache_key in _EXPECTED:
-        return _EXPECTED[cache_key]
-    from repro.verify.oracle import Oracle
-    oracle = Oracle(target.fpc)
-    expected = [_outputs_of(program, oracle.run(program, inputs))
-                for inputs in input_sets]
-    if cache_key is not None:
-        if len(_EXPECTED) >= _EXPECTED_LIMIT:
-            _EXPECTED.clear()
-        _EXPECTED[cache_key] = expected
-    return expected
+
+    def __init__(self, program, target_name: str,
+                 input_sets: Sequence[Mapping[str, object]],
+                 sim: str = "jit") -> None:
+        from repro.api import _resolve_target
+        self.program = program
+        self.target_name = target_name
+        self.input_sets = input_sets
+        self.sim = sim
+        self.target = _resolve_target(target_name)
+        self.selections = SelectionMemo()
+        self._expected: Optional[List[Dict[str, object]]] = None
+        self._runs: Dict[str, _Run] = {}
+
+    def holds(self, program, target_name: str,
+              input_sets: Sequence[Mapping[str, object]],
+              sim: str) -> bool:
+        """Whether this cell measures ``(program, target, inputs, sim)``."""
+        return (program is self.program
+                and target_name == self.target_name
+                and sim == self.sim
+                and list(input_sets) == list(self.input_sets))
+
+    def measure(self, options: RecordOptions) -> Measurement:
+        """Compile + simulate + oracle-check one candidate (no record
+        cache)."""
+        measurement = Measurement(target=self.target_name,
+                                  options=options.to_dict())
+        try:
+            compiled = RecordCompiler(self.target, options,
+                                      memo=self.selections) \
+                .compile(self.program)
+        except Exception as exc:                       # noqa: BLE001
+            measurement.error = str(exc)
+            measurement.error_type = type(exc).__name__
+            return measurement
+        measurement.words = compiled.words()
+
+        from repro.sim.harness import simulation_digest
+        digest = simulation_digest(compiled, self.sim)
+        run = self._runs.get(digest)
+        if run is None:
+            run = self._runs[digest] = self._simulate(compiled)
+        measurement.cycles = list(run.cycles)
+        measurement.total_cycles = sum(run.cycles)
+        measurement.correct = run.correct
+        measurement.error = run.error
+        measurement.error_type = run.error_type
+        return measurement
+
+    def _expected_outputs(self) -> List[Dict[str, object]]:
+        """The oracle's outputs per input set, computed once per cell.
+
+        This is the differential safety net's reference side: it shares
+        nothing with the compiler or the simulators (see
+        :mod:`repro.verify.oracle`), so "tuned code still agrees" is
+        evidence, not a tautology.
+        """
+        if self._expected is None:
+            from repro.verify.oracle import Oracle
+            oracle = Oracle(self.target.fpc)
+            self._expected = [
+                _outputs_of(self.program, oracle.run(self.program, inputs))
+                for inputs in self.input_sets]
+        return self._expected
+
+    def _simulate(self, compiled) -> _Run:
+        from repro.sim.harness import run_compiled
+        try:
+            expected = self._expected_outputs()
+            cycles = []
+            correct = True
+            for inputs, want in zip(self.input_sets, expected):
+                env, state = run_compiled(compiled, inputs, sim=self.sim,
+                                          max_steps=MAX_STEPS)
+                cycles.append(state.cycles)
+                if _outputs_of(self.program, env) != want:
+                    correct = False
+        except Exception as exc:                       # noqa: BLE001
+            return _Run(error=str(exc), error_type=type(exc).__name__)
+        return _Run(cycles=tuple(cycles), correct=correct)
 
 
 # ----------------------------------------------------------------------
@@ -180,15 +265,21 @@ def expected_outputs(program, target,
 
 def measure_cell(program, target_name: str, options: RecordOptions,
                  input_sets: Sequence[Mapping[str, object]],
-                 sim: str = "jit") -> Measurement:
-    """Measure one cell, through the persistent record cache.
+                 sim: str = "jit",
+                 cell: Optional[TuneCell] = None) -> Measurement:
+    """Measure one candidate, through the persistent record cache.
 
-    With an active :mod:`repro.cache`, a previously measured cell is
-    answered from its stored record (``cached=True``) without
-    compiling or simulating anything; otherwise the cell is compiled
-    (artifact-cached itself), simulated over every input set, checked
-    against the oracle, and the record stored for next time.
+    With an active :mod:`repro.cache`, a previously measured candidate
+    is answered from its stored record (``cached=True``) without
+    compiling or simulating anything; otherwise ``cell`` (a cell of its
+    own when ``None``; it must hold this program, target, inputs and
+    tier) measures it, and the record is stored for next time.
     """
+    if cell is None:
+        cell = TuneCell(program, target_name, input_sets, sim)
+    elif not cell.holds(program, target_name, input_sets, sim):
+        raise ValueError("measure_cell: the cell holds a different "
+                         "program, target, input batch or tier")
     from repro.cache import active_cache
     cache = active_cache()
     key = None
@@ -202,45 +293,7 @@ def measure_cell(program, target_name: str, options: RecordOptions,
                     and record.get("format") == RECORD_FORMAT:
                 return Measurement.from_json(record, cached=True)
 
-    measurement = _measure_uncached(program, target_name, options,
-                                    input_sets, sim)
+    measurement = cell.measure(options)
     if cache is not None and key is not None:
         cache.put_record(key, measurement.to_json())
-    return measurement
-
-
-def _measure_uncached(program, target_name: str, options: RecordOptions,
-                      input_sets: Sequence[Mapping[str, object]],
-                      sim: str) -> Measurement:
-    """Compile + simulate + oracle-check one cell (no record cache)."""
-    measurement = Measurement(target=target_name,
-                              options=options.to_dict())
-    from repro.api import _resolve_target
-    target = _resolve_target(target_name)
-    try:
-        compiled = RecordCompiler(target, options).compile(program)
-    except Exception as exc:                           # noqa: BLE001
-        measurement.error = str(exc)
-        measurement.error_type = type(exc).__name__
-        return measurement
-    measurement.words = compiled.words()
-
-    from repro.sim.harness import run_compiled
-    try:
-        expected = expected_outputs(program, target, input_sets)
-        correct = True
-        for inputs, want in zip(input_sets, expected):
-            env, state = run_compiled(compiled, inputs, sim=sim,
-                                      max_steps=MAX_STEPS)
-            measurement.cycles.append(state.cycles)
-            if _outputs_of(program, env) != want:
-                correct = False
-        measurement.total_cycles = sum(measurement.cycles)
-        measurement.correct = correct
-    except Exception as exc:                           # noqa: BLE001
-        measurement.error = str(exc)
-        measurement.error_type = type(exc).__name__
-        measurement.cycles = []
-        measurement.total_cycles = 0
-        measurement.correct = False
     return measurement

@@ -18,6 +18,16 @@ measurement failed the oracle comparison (or failed to compile) is
 until a configuration that agrees with the oracle wins.  The default
 configuration wins ties, so an entry is only recorded when the tuned
 configuration is strictly faster.
+
+One :func:`tune_program` call is one *tune cell*: one program, target,
+input batch and tier.  Every candidate is measured through one
+:class:`~repro.tune.measure.TuneCell` built for the call and dropped
+when it returns, so candidates that agree on the selection options
+select once, and candidates that compile to the same program simulate
+once.  The farm path sends each selection-key group as one
+:class:`~repro.evalx.farm.MeasureJob`, measured through a cell of its
+own.  Budget accounting and ranking see one measurement per candidate
+either way; :func:`measure_cell` is called once per candidate.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ from time import perf_counter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.codegen.pipeline import RecordOptions
-from repro.tune.measure import Measurement, measure_cell
+from repro.tune.measure import Measurement, TuneCell, measure_cell
 from repro.tune.space import cross_candidates, relevant_knobs, \
     screening_candidates
 
@@ -119,17 +129,18 @@ class TuneOutcome:
 # Measurement dispatch (farm batch or serial)
 # ----------------------------------------------------------------------
 
-def _measure_batch(program, target_name: str,
-                   candidates: Sequence[RecordOptions],
-                   input_sets: Sequence[Mapping[str, object]],
-                   sim: str, jobs: Optional[int]) -> List[Measurement]:
+def _measure_batch(cell: TuneCell, candidates: Sequence[RecordOptions],
+                   jobs: Optional[int]) -> List[Measurement]:
     """Measure a candidate batch, farm-parallel when possible.
 
-    Falls back to in-process serial measurement when the program does
-    not serialize for the farm (exotic shapes) or when ``jobs`` asks
-    for one worker; results are identical either way -- measurement is
-    a pure function of the cell, and the shared record cache makes the
-    two paths literally replay each other.
+    With ``jobs=1``, or when the program does not serialize for the
+    farm (exotic shapes), every candidate is measured in-process
+    through ``cell``.  Otherwise the batch goes to the farm as one
+    :class:`~repro.evalx.farm.MeasureJob` per selection-key group, each
+    measured through a cell of its own.  Results are identical either
+    way -- measurement is a pure function of the candidate, and the
+    shared record cache makes the two paths literally replay each
+    other.
     """
     candidates = list(candidates)
     if not candidates:
@@ -138,29 +149,39 @@ def _measure_batch(program, target_name: str,
     if jobs is None or jobs > 1:
         from repro.verify.corpus import program_to_spec
         try:
-            spec_blob = json.dumps(program_to_spec(program),
+            spec_blob = json.dumps(program_to_spec(cell.program),
                                    sort_keys=True)
-            inputs_blob = json.dumps(list(input_sets), sort_keys=True)
+            inputs_blob = json.dumps(list(cell.input_sets),
+                                     sort_keys=True)
         except Exception:                              # noqa: BLE001
             spec_blob = None
-    if spec_blob is not None:
-        from repro.evalx.farm import MeasureJob, run_many
-        measure_jobs = [
-            MeasureJob(program_spec=spec_blob, target=target_name,
-                       options_json=json.dumps(options.to_dict(),
-                                               sort_keys=True),
-                       inputs_json=inputs_blob, sim=sim)
-            for options in candidates
-        ]
-        results = run_many(measure_jobs, max_workers=jobs)
-        return [
-            result.payload if result.ok else Measurement(
-                target=target_name, options=options.to_dict(),
-                error=result.error, error_type=result.error_type)
-            for options, result in zip(candidates, results)]
-    return [measure_cell(program, target_name, options, input_sets,
-                         sim=sim)
-            for options in candidates]
+    if spec_blob is None:
+        return [measure_cell(cell.program, cell.target_name, options,
+                             cell.input_sets, sim=cell.sim, cell=cell)
+                for options in candidates]
+
+    groups: Dict[Tuple, List[int]] = {}
+    for position, options in enumerate(candidates):
+        groups.setdefault(options.selection_key(), []).append(position)
+    from repro.evalx.farm import MeasureJob, run_many
+    measure_jobs = [
+        MeasureJob(program_spec=spec_blob, target=cell.target_name,
+                   options_group=tuple(
+                       json.dumps(candidates[position].to_dict(),
+                                  sort_keys=True)
+                       for position in positions),
+                   inputs_json=inputs_blob, sim=cell.sim)
+        for positions in groups.values()]
+    measurements: List[Optional[Measurement]] = [None] * len(candidates)
+    for positions, result in zip(groups.values(),
+                                 run_many(measure_jobs, max_workers=jobs)):
+        for index, position in enumerate(positions):
+            measurements[position] = result.payload[index] \
+                if result.ok else Measurement(
+                    target=cell.target_name,
+                    options=candidates[position].to_dict(),
+                    error=result.error, error_type=result.error_type)
+    return measurements
 
 
 # ----------------------------------------------------------------------
@@ -196,6 +217,7 @@ def tune_program(program,
     started = perf_counter()
     outcome = TuneOutcome(program=program.name, target=target,
                           config=config)
+    cell = TuneCell(program, target, input_sets, config.sim)
 
     def account(measurements: Sequence[Measurement]) -> None:
         for measurement in measurements:
@@ -207,8 +229,7 @@ def tune_program(program,
                 outcome.fresh_measurements += 1
 
     # -- stage 0: the yardstick ----------------------------------------
-    default_measurement = _measure_batch(
-        program, target, [default], input_sets, config.sim, jobs)[0]
+    default_measurement = _measure_batch(cell, [default], jobs)[0]
     account([default_measurement])
     outcome.default = default_measurement
     if not default_measurement.ok:
@@ -220,9 +241,9 @@ def tune_program(program,
     # -- stage 1: screening --------------------------------------------
     remaining = config.budget - outcome.budget_used
     screening = screening_candidates(default, target)[:max(0, remaining)]
-    screened = _measure_batch(program, target,
+    screened = _measure_batch(cell,
                               [options for _knob, options in screening],
-                              input_sets, config.sim, jobs)
+                              jobs)
     account(screened)
 
     # Movers: knobs with at least one correct, strictly-improving
@@ -251,8 +272,7 @@ def tune_program(program,
                     if json.dumps(options.to_dict(), sort_keys=True)
                     not in seen]
         crossing = crossing[:remaining]
-        account(_measure_batch(program, target, crossing, input_sets,
-                               config.sim, jobs))
+        account(_measure_batch(cell, crossing, jobs))
 
     # -- selection + oracle gate ---------------------------------------
     ranked = sorted(

@@ -9,6 +9,8 @@ observable from outside, abrupt client disconnects, and shutdown.
 from __future__ import annotations
 
 import asyncio
+import json
+import logging
 import socket
 import threading
 
@@ -102,15 +104,48 @@ def test_abrupt_disconnect_mid_request_leaves_server_up(live_server):
     assert response["served_by"] in ("cache", "coalesced", "farm")
 
 
+def _errors(host: str, port: int) -> int:
+    with ServeClient(host=host, port=port) as client:
+        return client.stats()["errors"]
+
+
 def test_bad_json_line_answers_protocol_error(live_server):
     host, port = live_server
+    before = _errors(host, port)
     raw = socket.create_connection((host, port), timeout=30)
     try:
         raw.sendall(b"this is not json\n")
         line = raw.makefile("rb").readline()
     finally:
         raw.close()
-    import json
     response = json.loads(line)
     assert not response["ok"]
     assert response["error_type"] == "ProtocolError"
+    assert _errors(host, port) == before + 1
+
+
+def test_oversized_line_answers_protocol_error_and_closes(live_server,
+                                                          caplog):
+    """A line over the stream limit (64 KiB) is answered, counted and
+    ends only its own connection, without an asyncio traceback."""
+    host, port = live_server
+    before = _errors(host, port)
+    ping = json.dumps({"id": 7, "op": "ping", "pad": "x" * 70_000})
+    with caplog.at_level(logging.DEBUG, logger="asyncio"):
+        raw = socket.create_connection((host, port), timeout=30)
+        try:
+            raw.sendall(ping.encode() + b"\n")
+            stream = raw.makefile("rb")
+            line = stream.readline()
+            after = stream.readline()
+        finally:
+            raw.close()
+        with ServeClient(host=host, port=port) as client:
+            assert client.ping()["result"] == {"pong": True}
+    response = json.loads(line)
+    assert not response["ok"]
+    assert response["error_type"] == "ProtocolError"
+    assert after == b"", "the connection stayed open after the overrun"
+    assert _errors(host, port) == before + 1
+    assert not [record for record in caplog.records
+                if record.name == "asyncio"]

@@ -86,9 +86,9 @@ def test_selection_gate_rejects_fast_but_wrong_configuration(monkeypatch):
     real_measure = search_mod.measure_cell
 
     def lying_measure(program, target_name, options, input_sets,
-                      sim="jit"):
+                      sim="jit", cell=None):
         measurement = real_measure(program, target_name, options,
-                                   input_sets, sim=sim)
+                                   input_sets, sim=sim, cell=cell)
         if options.peephole is False:
             return Measurement(
                 target=measurement.target,
@@ -125,7 +125,7 @@ def test_gate_requires_both_ok_and_correct():
 
 def test_unmeasurable_default_raises_tune_error(monkeypatch):
     def broken_measure(program, target_name, options, input_sets,
-                       sim="jit"):
+                       sim="jit", cell=None):
         return Measurement(target=target_name,
                            options=options.to_dict(),
                            error="injected", error_type="CompileError")
