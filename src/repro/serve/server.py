@@ -505,6 +505,9 @@ class ReproServer:
                 except ValueError as exc:
                     # Longer than the stream limit: the rest of the line
                     # is still unread, so the stream cannot be resumed.
+                    # The client is still there: answer the requests it
+                    # sent before the overrun, then close.
+                    await asyncio.gather(*tasks, return_exceptions=True)
                     await self._send(writer, write_lock,
                                      self.service.reject(
                                          f"request line too long: {exc}"))

@@ -190,15 +190,6 @@ class TuneCell:
         self._expected: Optional[List[Dict[str, object]]] = None
         self._runs: Dict[str, _Run] = {}
 
-    def holds(self, program, target_name: str,
-              input_sets: Sequence[Mapping[str, object]],
-              sim: str) -> bool:
-        """Whether this cell measures ``(program, target, inputs, sim)``."""
-        return (program is self.program
-                and target_name == self.target_name
-                and sim == self.sim
-                and list(input_sets) == list(self.input_sets))
-
     def measure(self, options: RecordOptions) -> Measurement:
         """Compile + simulate + oracle-check one candidate (no record
         cache)."""
@@ -271,15 +262,12 @@ def measure_cell(program, target_name: str, options: RecordOptions,
 
     With an active :mod:`repro.cache`, a previously measured candidate
     is answered from its stored record (``cached=True``) without
-    compiling or simulating anything; otherwise ``cell`` (a cell of its
-    own when ``None``; it must hold this program, target, inputs and
-    tier) measures it, and the record is stored for next time.
+    compiling or simulating anything; otherwise ``cell`` (built from
+    these same arguments; a cell of its own when ``None``) measures it,
+    and the record is stored for next time.
     """
     if cell is None:
         cell = TuneCell(program, target_name, input_sets, sim)
-    elif not cell.holds(program, target_name, input_sets, sim):
-        raise ValueError("measure_cell: the cell holds a different "
-                         "program, target, input batch or tier")
     from repro.cache import active_cache
     cache = active_cache()
     key = None

@@ -133,7 +133,8 @@ def _measure_batch(cell: TuneCell, candidates: Sequence[RecordOptions],
                    jobs: Optional[int]) -> List[Measurement]:
     """Measure a candidate batch, farm-parallel when possible.
 
-    With ``jobs=1``, or when the program does not serialize for the
+    With one worker (``jobs=1``, or ``jobs=None`` where the farm's
+    default is one), or when the program does not serialize for the
     farm (exotic shapes), every candidate is measured in-process
     through ``cell``.  Otherwise the batch goes to the farm as one
     :class:`~repro.evalx.farm.MeasureJob` per selection-key group, each
@@ -145,8 +146,10 @@ def _measure_batch(cell: TuneCell, candidates: Sequence[RecordOptions],
     candidates = list(candidates)
     if not candidates:
         return []
+    from repro.evalx.farm import MeasureJob, default_workers, run_many
+    workers = jobs if jobs is not None else default_workers()
     spec_blob = None
-    if jobs is None or jobs > 1:
+    if workers > 1:
         from repro.verify.corpus import program_to_spec
         try:
             spec_blob = json.dumps(program_to_spec(cell.program),
@@ -163,7 +166,6 @@ def _measure_batch(cell: TuneCell, candidates: Sequence[RecordOptions],
     groups: Dict[Tuple, List[int]] = {}
     for position, options in enumerate(candidates):
         groups.setdefault(options.selection_key(), []).append(position)
-    from repro.evalx.farm import MeasureJob, run_many
     measure_jobs = [
         MeasureJob(program_spec=spec_blob, target=cell.target_name,
                    options_group=tuple(
@@ -174,7 +176,8 @@ def _measure_batch(cell: TuneCell, candidates: Sequence[RecordOptions],
         for positions in groups.values()]
     measurements: List[Optional[Measurement]] = [None] * len(candidates)
     for positions, result in zip(groups.values(),
-                                 run_many(measure_jobs, max_workers=jobs)):
+                                 run_many(measure_jobs,
+                                          max_workers=workers)):
         for index, position in enumerate(positions):
             measurements[position] = result.payload[index] \
                 if result.ok else Measurement(

@@ -112,12 +112,10 @@ def _errors(host: str, port: int) -> int:
 def test_bad_json_line_answers_protocol_error(live_server):
     host, port = live_server
     before = _errors(host, port)
-    raw = socket.create_connection((host, port), timeout=30)
-    try:
+    with socket.create_connection((host, port), timeout=30) as raw, \
+            raw.makefile("rb") as stream:
         raw.sendall(b"this is not json\n")
-        line = raw.makefile("rb").readline()
-    finally:
-        raw.close()
+        line = stream.readline()
     response = json.loads(line)
     assert not response["ok"]
     assert response["error_type"] == "ProtocolError"
@@ -131,15 +129,12 @@ def test_oversized_line_answers_protocol_error_and_closes(live_server,
     host, port = live_server
     before = _errors(host, port)
     ping = json.dumps({"id": 7, "op": "ping", "pad": "x" * 70_000})
-    with caplog.at_level(logging.DEBUG, logger="asyncio"):
-        raw = socket.create_connection((host, port), timeout=30)
-        try:
+    with caplog.at_level(logging.WARNING, logger="asyncio"):
+        with socket.create_connection((host, port), timeout=30) as raw, \
+                raw.makefile("rb") as stream:
             raw.sendall(ping.encode() + b"\n")
-            stream = raw.makefile("rb")
             line = stream.readline()
             after = stream.readline()
-        finally:
-            raw.close()
         with ServeClient(host=host, port=port) as client:
             assert client.ping()["result"] == {"pong": True}
     response = json.loads(line)
@@ -147,5 +142,35 @@ def test_oversized_line_answers_protocol_error_and_closes(live_server,
     assert response["error_type"] == "ProtocolError"
     assert after == b"", "the connection stayed open after the overrun"
     assert _errors(host, port) == before + 1
+    # asyncio's debug mode logs each connection at DEBUG; a traceback
+    # ("Exception in callback") is an ERROR.
     assert not [record for record in caplog.records
-                if record.name == "asyncio"]
+                if record.name == "asyncio"
+                and record.levelno >= logging.WARNING]
+
+
+def test_requests_before_an_overrun_are_answered(live_server):
+    """Requests pipelined ahead of an oversized line still get their
+    responses, and the close counts no client disconnect."""
+    host, port = live_server
+    with ServeClient(host=host, port=port) as client:
+        before = client.stats()
+    pipelined = [{"id": 1, "op": "ping"},
+                 {"id": 2, "op": "compile", "kernel": "convolution",
+                  "target": "m56"}]
+    blob = b"".join(json.dumps(request).encode() + b"\n"
+                    for request in pipelined)
+    oversized = json.dumps({"id": 3, "op": "ping", "pad": "x" * 70_000})
+    with socket.create_connection((host, port), timeout=30) as raw, \
+            raw.makefile("rb") as stream:
+        raw.sendall(blob + oversized.encode() + b"\n")
+        responses = [json.loads(line) for line in stream]
+    answered = {response.get("id"): response for response in responses}
+    assert answered[1]["ok"] and answered[2]["ok"]
+    assert answered[None]["error_type"] == "ProtocolError"
+    assert len(responses) == 3
+    with ServeClient(host=host, port=port) as client:
+        after = client.stats()
+    assert after["errors"] == before["errors"] + 1
+    assert after["disconnects_mid_flight"] \
+        == before["disconnects_mid_flight"]

@@ -106,14 +106,6 @@ def test_selection_memo_hit_reports_no_selection_work():
     assert stats.assignments == first.stats["selection"].assignments
 
 
-def test_cell_refuses_another_program():
-    cell = _cell()
-    other = kernel("fir").program
-    with pytest.raises(ValueError):
-        measure_cell(other, "tc25", RecordOptions(), cell.input_sets,
-                     cell=cell)
-
-
 def test_measure_job_measures_its_group_through_one_cell(counted):
     program = kernel("real_update").program
     inputs = default_input_sets(program, 2)
@@ -143,6 +135,25 @@ def test_measure_cell_is_called_once_per_candidate(monkeypatch):
     outcome = tune_program(kernel("fir").program, "tc25",
                            config=TuneConfig(budget=16), jobs=1)
     assert len(calls) == outcome.budget_used == len(outcome.table)
+
+
+def test_one_default_worker_measures_through_the_call_cell(
+        monkeypatch, counted):
+    program = kernel("fir").program
+    config = TuneConfig(budget=16)
+    serial = tune_program(program, "m56", config=config, jobs=1)
+    serial_counts = dict(counted)
+    counted.update(select=0, simulate=0)
+    clear_measure_pools()
+
+    def no_farm(*args, **kwargs):
+        raise AssertionError("one worker must not go to the farm")
+    monkeypatch.setattr("repro.evalx.farm.run_many", no_farm)
+    monkeypatch.setenv("REPRO_JOBS", "1")
+    default = tune_program(program, "m56", config=config, jobs=None)
+    assert counted == serial_counts
+    assert json.dumps(default.to_json(), sort_keys=True) \
+        == json.dumps(serial.to_json(), sort_keys=True)
 
 
 def test_nothing_the_cell_held_outlives_tune_program(monkeypatch):
