@@ -138,6 +138,9 @@ def parse_request(payload: object) -> Request:
         request.input_sets = input_sets
         targets = payload.get("targets")
         if targets is not None:
+            if not isinstance(targets, list) or not targets:
+                raise ProtocolError(
+                    "'targets' must be a non-empty list of target names")
             targets = tuple(targets)
             for name in targets:
                 if name not in DEFAULT_TARGETS:

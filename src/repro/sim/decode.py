@@ -1,15 +1,17 @@
 """Translation caching: decode finalized code once, run it many times.
 
-The reference :class:`~repro.sim.machine.Machine` re-dispatches every
-executed instruction through the target's handler registry and
-re-extracts operands on every step.  For the evaluation harnesses
-(Table 1 cycle counts, DSPStone bit-exactness sweeps, the self-test
-corpus) the same program runs thousands of times, so this module
-performs the per-instruction work *once*:
+The reference :class:`~repro.sim.machine.Machine` looks up every
+executed instruction's handler in the target's registry, asks the
+target for its repeat count, and charges step budget and cycles one
+instruction at a time.  For the evaluation harnesses (Table 1 cycle
+counts, DSPStone bit-exactness sweeps, the self-test corpus) the same
+program runs thousands of times, so this module performs that
+per-instruction work *once*:
 
-- each :class:`AsmInstr` is bound to a ``step(state)`` closure with
-  opcode dispatch and operand decoding already resolved (the target's
-  ``bind_step`` hook -- see the ``@binder`` registry);
+- each :class:`AsmInstr` is bound to a ``step(state)`` closure over its
+  ``@semantics`` handler, resolved at decode time (the target's
+  ``bind_step`` hook), so the block runner calls the very handlers the
+  reference interpreter dispatches to;
 - instructions are grouped into **basic blocks** (leaders: program
   entry, label targets, branch successors), with label targets resolved
   to block indices and per-block cycle/step totals precomputed;

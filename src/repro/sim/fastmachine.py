@@ -3,8 +3,10 @@
 :class:`FastMachine` is a drop-in replacement for the reference
 :class:`~repro.sim.machine.Machine`: same constructor, same ``run``
 contract, bit-identical architectural results and cycle counts.  It
-runs the pre-decoded block form from :mod:`repro.sim.decode` and falls
-back to the reference interpreter whenever that is the right tool:
+runs the pre-decoded block form from :mod:`repro.sim.decode` -- basic
+blocks of the target's ``@semantics`` handlers, bound at decode time --
+and falls back to the reference interpreter whenever that is the right
+tool:
 
 - a trace was requested (tracing wants per-instruction bookkeeping the
   block runner deliberately avoids);

@@ -24,13 +24,8 @@ SIM_TIERS = {"jit": JitMachine, "fast": FastMachine,
              "reference": Machine}
 
 
-def _resolve_sim(sim: Optional[str], fast_sim: bool):
-    """Map the tier selector (plus the legacy ``fast_sim`` flag) to a
-    machine class.  ``sim`` wins when given; otherwise ``fast_sim=True``
-    selects the default jit tier and ``False`` the reference
-    interpreter."""
-    if sim is None:
-        sim = "jit" if fast_sim else "reference"
+def _resolve_sim(sim: str):
+    """Map the tier selector to a machine class."""
     try:
         return SIM_TIERS[sim]
     except KeyError:
@@ -87,22 +82,20 @@ def run_compiled(compiled: CompiledProgram,
                  state: Optional[MachineState] = None,
                  trace: Optional[Trace] = None,
                  max_steps: int = 2_000_000,
-                 fast_sim: bool = True,
-                 sim: Optional[str] = None
+                 sim: str = "jit"
                  ) -> Tuple[Dict[str, object], MachineState]:
     """Execute one invocation; returns (environment after, state).
 
     ``sim`` selects the simulator tier: ``"jit"`` (the source-generating
     default -- bit-identical environments and cycle counts), ``"fast"``
-    (pre-bound closures), or ``"reference"``.  The legacy ``fast_sim``
-    flag is honoured when ``sim`` is not given (``False`` means the
-    reference interpreter).  Requesting a trace always uses the
-    reference interpreter.
+    (pre-decoded blocks of bound @semantics handlers), or
+    ``"reference"``.  Requesting a trace always uses the reference
+    interpreter.
     """
     if state is None:
         state = compiled.target.initial_state()
     load_environment(compiled, env, state)
-    machine_cls = _resolve_sim(sim, fast_sim)
+    machine_cls = _resolve_sim(sim)
     if machine_cls is Machine or trace is not None:
         Machine(compiled.target, max_steps=max_steps).run(
             compiled.code, state, trace)
@@ -115,9 +108,8 @@ def run_compiled(compiled: CompiledProgram,
 def run_many(compiled: CompiledProgram,
              envs: Iterable[Mapping[str, object]],
              max_steps: int = 2_000_000,
-             fast_sim: bool = True,
              target=None,
-             sim: Optional[str] = None
+             sim: str = "jit"
              ) -> List[Tuple[Dict[str, object], MachineState]]:
     """Execute one compiled program over a batch of environments.
 
@@ -135,8 +127,7 @@ def run_many(compiled: CompiledProgram,
     ``sim`` selects the tier exactly as in :func:`run_compiled`.
     """
     use_target = target if target is not None else compiled.target
-    machine = _resolve_sim(sim, fast_sim)(use_target,
-                                          max_steps=max_steps)
+    machine = _resolve_sim(sim)(use_target, max_steps=max_steps)
     results: List[Tuple[Dict[str, object], MachineState]] = []
     for env in envs:
         state = use_target.initial_state()
@@ -148,10 +139,9 @@ def run_many(compiled: CompiledProgram,
 
 def cycles_of(compiled: CompiledProgram,
               env: Mapping[str, object],
-              fast_sim: bool = True,
-              sim: Optional[str] = None) -> int:
+              sim: str = "jit") -> int:
     """Cycle count of one invocation (fresh machine)."""
-    _, state = run_compiled(compiled, env, fast_sim=fast_sim, sim=sim)
+    _, state = run_compiled(compiled, env, sim=sim)
     return state.cycles
 
 

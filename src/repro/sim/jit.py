@@ -3,26 +3,25 @@
 :class:`JitMachine` is the third (fastest) member of the simulator
 stack, layered jit -> :class:`~repro.sim.fastmachine.FastMachine` ->
 reference :class:`~repro.sim.machine.Machine`.  Where the fast
-simulator replaces per-instruction dispatch with pre-bound closures,
-this tier *emits specialized Python source* for each basic block of the
-decoded program -- operands constant-folded into literals, registers
-and machine modes hoisted into function locals, memory bounds checks
-inlined against a literal memory size, and hardware repeats turned into
-native ``for`` loops -- then ``compile()``s the module once and runs it
-through a block-chaining loop identical in contract to the fast
-simulator's.
+simulator replaces per-instruction dispatch with ``@semantics`` handlers
+bound at decode time, this tier *emits specialized Python source* for
+each basic block of the decoded program -- operands constant-folded
+into literals, registers and machine modes hoisted into function
+locals, memory bounds checks inlined against a literal memory size,
+and hardware repeats turned into native ``for`` loops -- then
+``compile()``s the module once and runs it through a block-chaining
+loop identical in contract to the fast simulator's.
 
 The translation is driven by the target's ``@emitter`` registry (see
 :func:`repro.targets.model.emitter`), a per-opcode template tier that
-sits beside ``@semantics`` and ``@binder``.  Degradation is graceful at
-every level:
+sits beside ``@semantics``.  Degradation is graceful at every level:
 
 - an opcode with no (or a declining) template gets an inlined call to
-  its bound ``@binder`` closure -- the surrounding block stays
-  specialized;
+  its bound ``@semantics`` handler (the target's ``bind_step``) -- the
+  surrounding block stays specialized;
 - a template that raises during emission abandons that block only: the
-  block runs its already-decoded FastMachine closures behind the same
-  block-chaining interface;
+  block runs its decoded FastMachine steps, the same bound handlers,
+  behind the same block-chaining interface;
 - a program the decoder cannot specialize (:class:`DecodeFallback`)
   runs the reference interpreter, exactly as the fast simulator does.
 
@@ -374,8 +373,9 @@ _MODULE_HEADER = (
 
 def _emit_closure_step(ctx: BlockEmitter, index: int,
                        step_slots: List[int]) -> None:
-    """The generic per-opcode fallback: flush locals, call the bound
-    @binder closure injected as ``_s<index>``, forget the locals."""
+    """The generic per-opcode fallback: flush locals, call the
+    instruction's bound step (``bind_step``, its @semantics handler)
+    injected as ``_s<index>``, forget the locals."""
     ctx.flush()
     ctx.line(f"_s{index}(state)")
     ctx.invalidate()

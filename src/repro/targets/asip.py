@@ -37,7 +37,7 @@ from repro.codegen.grammar import Cost, Nt, Pat, Rule, Term, TreeGrammar
 from repro.ir.trees import Tree
 from repro.sim.machine import MachineState
 from repro.targets.model import (
-    TargetCapabilities, binder, emitter, semantics,
+    TargetCapabilities, emitter, semantics,
 )
 from repro.targets.tc25 import TC25, _ins, _wrap32
 
@@ -177,8 +177,8 @@ class Asip(TC25):
         return state
 
     # The barrel-shifter instructions extend the inherited TC25
-    # semantics registry; everything else dispatches through the same
-    # handlers (and fast-simulator binders) as the parent.
+    # @semantics and @emitter registries; everything else runs through
+    # the parent's handlers and jit templates.
 
     @semantics("SFLK")
     def _exec_sflk(self, state: MachineState, instr: AsmInstr) -> None:
@@ -188,18 +188,6 @@ class Asip(TC25):
     @semantics("SFRK")
     def _exec_sfrk(self, state: MachineState, instr: AsmInstr) -> None:
         state.regs["acc"] >>= instr.operands[0].value
-
-    @binder("SFLK", "SFRK")
-    def _bind_barrel_shift(self, instr: AsmInstr):
-        amount = instr.operands[0].value
-        if instr.opcode == "SFLK":
-            def step(state: MachineState) -> None:
-                regs = state.regs
-                regs["acc"] = _wrap32(regs["acc"] << amount)
-        else:
-            def step(state: MachineState) -> None:
-                state.regs["acc"] >>= amount
-        return step
 
     @emitter("SFLK", "SFRK")
     def _emit_barrel_shift(self, instr: AsmInstr, ctx) -> bool:

@@ -46,7 +46,7 @@ from repro.ir.ops import OpKind
 from repro.ir.trees import Tree
 from repro.sim.machine import MachineState, SimulationError
 from repro.targets.model import (
-    TargetCapabilities, TargetModel, binder, emitter, semantics,
+    TargetCapabilities, TargetModel, emitter, semantics,
 )
 
 _MASK32 = (1 << 32) - 1
@@ -774,15 +774,12 @@ class M56(TargetModel):
     # -- fast-simulator decode ------------------------------------------
 
     def bind_step(self, instr: AsmInstr):
-        # The @binder specializations below assume a bare instruction;
-        # anything carrying parallel move slots keeps the gather/commit
-        # discipline (with handlers pre-resolved at decode time).
-        if instr.parallel:
-            return self._default_step(instr)
-        return super().bind_step(instr)
+        """Gather/commit step with handlers resolved at decode time.
 
-    def _default_step(self, instr: AsmInstr):
-        """Gather/commit step with handlers resolved at decode time."""
+        The fast tier's step for every instruction, bare or carrying
+        parallel moves: the :meth:`execute` discipline over the same
+        @semantics handlers, minus the per-step dispatch.
+        """
         table = self.dispatch_table()
         primary = table.get(instr.opcode)
         bad = instr.opcode if primary is None else next(
@@ -814,222 +811,6 @@ class M56(TargetModel):
 
         return step
 
-    # Specialized binders for bare (no parallel slots) instructions.
-    # With a single gather half, committing writes in place is
-    # observationally identical to the gather/commit order: the only
-    # same-register overlap (write then post-modify of the same
-    # register) keeps the reference ordering below.
-
-    def _bind_read(self, operand):
-        """read(state) -> value, recording post-modify as a trailing
-        bump the caller must apply after its writes."""
-        if isinstance(operand, Reg):
-            name = operand.name
-            return (lambda state: state.reg(name)), None
-        if isinstance(operand, Imm):
-            value = operand.value
-            return (lambda state: value), None
-        if isinstance(operand, Mem):
-            if operand.mode == "direct":
-                address = operand.address
-                return (lambda state: state.load(address)), None
-            if operand.mode == "indirect":
-                areg = operand.areg
-                bump = operand.post_modify
-                read = (lambda state, areg=areg:
-                        state.load(state.reg(areg)))
-                if bump:
-                    def apply_bump(state: MachineState) -> None:
-                        state.set_reg(areg, state.reg(areg) + bump)
-                    return read, apply_bump
-                return read, None
-
-            def unresolved(state: MachineState) -> int:
-                raise SimulationError(f"unresolved operand {operand}")
-            return unresolved, None
-        def unreadable(state: MachineState) -> int:
-            raise SimulationError(f"cannot read operand {operand}")
-        return unreadable, None
-
-    @binder("MOVE")
-    def _bind_move(self, instr: AsmInstr):
-        dst, src = instr.operands
-        read, src_bump = self._bind_read(src)
-        if isinstance(dst, Reg):
-            name = dst.name
-            width = _wrap32 if name == "a" else _wrap16
-
-            def step(state: MachineState) -> None:
-                state.set_reg(name, width(read(state)))
-                if src_bump is not None:
-                    src_bump(state)
-            return step
-        if isinstance(dst, Mem):
-            if dst.mode == "direct":
-                address = dst.address
-
-                def step(state: MachineState) -> None:
-                    state.store(address, _wrap16(read(state)))
-                    if src_bump is not None:
-                        src_bump(state)
-                return step
-            if dst.mode == "indirect":
-                areg = dst.areg
-                dst_bump = dst.post_modify
-
-                def step(state: MachineState) -> None:
-                    value = read(state)
-                    address = state.reg(areg)
-                    state.store(address, _wrap16(value))
-                    if src_bump is not None:
-                        src_bump(state)
-                    if dst_bump:
-                        state.set_reg(areg,
-                                      state.reg(areg) + dst_bump)
-                return step
-        return None     # symbolic / exotic shapes: generic gather step
-
-    @binder("MOVEI", "LUA")
-    def _bind_movei(self, instr: AsmInstr):
-        name = instr.operands[0].name
-        value = instr.operands[1].value
-
-        def step(state: MachineState) -> None:
-            state.set_reg(name, value)
-        return step
-
-    @binder("CLR")
-    def _bind_clr(self, instr: AsmInstr):
-        def step(state: MachineState) -> None:
-            state.set_reg("a", 0)
-        return step
-
-    @binder("ADD", "SUB")
-    def _bind_add_sub(self, instr: AsmInstr):
-        operand = instr.operands[0]
-        if not isinstance(operand, (Reg, Imm)):
-            return None
-        read, _ = self._bind_read(operand)
-        if instr.opcode == "ADD":
-            def step(state: MachineState) -> None:
-                state.set_reg("a", _wrap32(state.reg("a")
-                                           + read(state)))
-        else:
-            def step(state: MachineState) -> None:
-                state.set_reg("a", _wrap32(state.reg("a")
-                                           - read(state)))
-        return step
-
-    @binder("AND", "OR", "EOR")
-    def _bind_logic(self, instr: AsmInstr):
-        operand = instr.operands[0]
-        if not isinstance(operand, (Reg, Imm)):
-            return None
-        read, _ = self._bind_read(operand)
-        op = instr.opcode
-
-        def step(state: MachineState) -> None:
-            acc = _wrap16(state.reg("a"))
-            source = read(state)
-            value = {"AND": acc & source, "OR": acc | source,
-                     "EOR": acc ^ source}[op]
-            state.set_reg("a", value)
-        return step
-
-    @binder("MPY", "MAC", "MACN", "MPYF", "MACF", "MACNF")
-    def _bind_multiply(self, instr: AsmInstr):
-        left, right = instr.operands[0], instr.operands[1]
-        if not (isinstance(left, (Reg, Imm))
-                and isinstance(right, (Reg, Imm))):
-            return None
-        read_x, _ = self._bind_read(left)
-        read_y, _ = self._bind_read(right)
-        op = instr.opcode
-        fractional = op.endswith("F")
-        kind = op[:-1] if fractional else op
-
-        if kind == "MPY":
-            def step(state: MachineState) -> None:
-                product = read_x(state) * read_y(state)
-                if fractional:
-                    product >>= 15
-                state.set_reg("a", _wrap32(product))
-        elif kind == "MAC":
-            def step(state: MachineState) -> None:
-                product = read_x(state) * read_y(state)
-                if fractional:
-                    product >>= 15
-                state.set_reg("a", _wrap32(state.reg("a") + product))
-        else:
-            def step(state: MachineState) -> None:
-                product = read_x(state) * read_y(state)
-                if fractional:
-                    product >>= 15
-                state.set_reg("a", _wrap32(state.reg("a") - product))
-        return step
-
-    @binder("SATA", "NEG", "ABS", "NOT", "ASL", "ASR")
-    def _bind_acc_unary(self, instr: AsmInstr):
-        op = instr.opcode
-        if op == "SATA":
-            def step(state: MachineState) -> None:
-                state.set_reg("a", max(-(1 << 15),
-                                       min((1 << 15) - 1,
-                                           state.reg("a"))))
-        elif op == "NEG":
-            def step(state: MachineState) -> None:
-                state.set_reg("a", _wrap32(-state.reg("a")))
-        elif op == "ABS":
-            def step(state: MachineState) -> None:
-                state.set_reg("a", _wrap32(abs(state.reg("a"))))
-        elif op == "NOT":
-            def step(state: MachineState) -> None:
-                state.set_reg("a", ~_wrap16(state.reg("a")))
-        elif op == "ASL":
-            def step(state: MachineState) -> None:
-                state.set_reg("a", _wrap32(state.reg("a") << 1))
-        else:
-            def step(state: MachineState) -> None:
-                state.set_reg("a", state.reg("a") >> 1)
-        return step
-
-    @binder("DO")
-    def _bind_do(self, instr: AsmInstr):
-        initial = instr.operands[0].value - 1
-
-        def step(state: MachineState) -> None:
-            state.loop_stack.append(initial)
-        return step
-
-    @binder("LOOPEND")
-    def _bind_loopend(self, instr: AsmInstr):
-        label = instr.operands[0].name
-
-        def step(state: MachineState) -> Optional[str]:
-            stack = state.loop_stack
-            if not stack:
-                raise SimulationError("LOOPEND without DO")
-            if stack[-1] > 0:
-                stack[-1] -= 1
-                return label
-            stack.pop()
-            return None
-        return step
-
-    @binder("LEA")
-    def _bind_lea(self, instr: AsmInstr):
-        operand = instr.operands[0]
-        areg = operand.areg
-        bump = operand.post_modify
-
-        def step(state: MachineState) -> None:
-            state.set_reg(areg, state.reg(areg) + bump)
-        return step
-
-    @binder("NOP")
-    def _bind_nop(self, instr: AsmInstr):
-        return lambda state: None
-
     # -- JIT source templates ------------------------------------------
     #
     # One gather/commit emitter covers every data instruction including
@@ -1037,8 +818,8 @@ class M56(TargetModel):
     # in temporaries in gather order, then register writes, memory
     # writes (16-bit wrapped) and pointer bumps commit in the reference
     # order -- with operands and addresses resolved at generation time.
-    # Shapes the gather cannot express decline to the decoded
-    # gather/commit closure.
+    # Shapes the gather cannot express decline to the gather/commit
+    # step of :meth:`bind_step`.
 
     _LOGIC_CHARS = {"AND": "&", "OR": "|", "EOR": "^"}
 

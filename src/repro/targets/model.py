@@ -7,6 +7,11 @@ explicit model.  Everything a pipeline stage needs to know about a
 processor -- its instruction patterns, its addressing capabilities, its
 parallel slots, its machine modes, how a counted loop is realized, and
 the bit-true meaning of each instruction -- is answered by this object.
+
+Each opcode's behaviour is written twice.  Its :func:`semantics`
+handler is the reference interpreter, and :meth:`TargetModel.bind_step`
+binds the same handler at decode time for the fast tier.  Its
+:func:`emitter` template writes the jit tier's Python source.
 """
 
 from __future__ import annotations
@@ -44,23 +49,6 @@ def semantics(*opcodes: str, branch: bool = False):
     return register
 
 
-def binder(*opcodes: str):
-    """Register a decode-time specializer for ``opcodes``.
-
-    A binder takes an :class:`AsmInstr` and returns a closure
-    ``step(state)`` with operands pre-extracted (or ``None`` to decline,
-    falling back to the generic dispatch step).  Binders are the fast
-    simulator's translation layer; they must be observationally
-    identical to the :func:`semantics` handler for the same opcode.
-    """
-
-    def register(fn):
-        fn.__binds__ = tuple(opcodes)
-        return fn
-
-    return register
-
-
 def emitter(*opcodes: str):
     """Register a JIT source template for ``opcodes``.
 
@@ -68,9 +56,9 @@ def emitter(*opcodes: str):
     and a :class:`repro.sim.jit.BlockEmitter` -- and appends specialized
     Python source lines to the block being generated.  Return ``True``
     when the instruction was emitted; any falsy return declines (the
-    JIT inlines a call to the instruction's bound closure instead), and
-    a raised exception abandons the whole block (it runs through its
-    already-decoded FastMachine closures).  Emitters must be
+    JIT inlines a call to the instruction's bound @semantics handler
+    instead), and a raised exception abandons the whole block (it runs
+    its decoded steps, the same bound handlers).  Emitters must be
     observationally identical to the :func:`semantics` handler for the
     same opcode.
     """
@@ -137,8 +125,6 @@ class TargetModel:
     _SEMANTICS_ATTRS: Mapping[str, str] = {}
     #: opcodes whose handler may return a branch-target label.
     _BRANCH_OPCODES: frozenset = frozenset()
-    #: opcode -> attribute name of the @binder specializer.
-    _BINDER_ATTRS: Mapping[str, str] = {}
     #: opcode -> attribute name of the @emitter JIT template.
     _EMITTER_ATTRS: Mapping[str, str] = {}
 
@@ -149,7 +135,6 @@ class TargetModel:
         super().__init_subclass__(**kwargs)
         handlers: Dict[str, str] = {}
         branches = set()
-        binders: Dict[str, str] = {}
         emitters: Dict[str, str] = {}
         for klass in reversed(cls.__mro__):
             for attr, fn in vars(klass).items():
@@ -159,13 +144,10 @@ class TargetModel:
                         branches.add(opcode)
                     else:
                         branches.discard(opcode)
-                for opcode in getattr(fn, "__binds__", ()):
-                    binders[opcode] = attr
                 for opcode in getattr(fn, "__emits__", ()):
                     emitters[opcode] = attr
         cls._SEMANTICS_ATTRS = handlers
         cls._BRANCH_OPCODES = frozenset(branches)
-        cls._BINDER_ATTRS = binders
         cls._EMITTER_ATTRS = emitters
 
     # -- code selection --------------------------------------------------
@@ -189,13 +171,12 @@ class TargetModel:
 
     def __getstate__(self) -> dict:
         """Pickle support for the compile farm: the grammar cache holds
-        emit closures (and the dispatch/binder caches hold bound
+        emit closures (and the dispatch/emitter caches hold bound
         methods), none of which pickle -- drop them and rebuild lazily
         on the other side."""
         state = dict(self.__dict__)
         state.pop("_grammar_cache", None)
         state.pop("_dispatch_cache", None)
-        state.pop("_binder_cache", None)
         state.pop("_emitter_cache", None)
         return state
 
@@ -214,15 +195,6 @@ class TargetModel:
             self.__dict__["_dispatch_cache"] = table
         return table
 
-    def binder_table(self) -> Dict[str, Callable]:
-        """opcode -> bound @binder specializer (built once per instance)."""
-        table = self.__dict__.get("_binder_cache")
-        if table is None:
-            table = {opcode: getattr(self, attr)
-                     for opcode, attr in type(self)._BINDER_ATTRS.items()}
-            self.__dict__["_binder_cache"] = table
-        return table
-
     def emitter_table(self) -> Dict[str, Callable]:
         """opcode -> bound @emitter JIT template (built once per instance)."""
         table = self.__dict__.get("_emitter_cache")
@@ -237,8 +209,9 @@ class TargetModel:
 
         Tries the @emitter registry; returns ``True`` when source was
         emitted, ``False`` when the JIT should inline a call to the
-        instruction's bound closure instead.  A raised exception makes
-        the JIT degrade the enclosing block to its FastMachine closures.
+        instruction's bound step (:meth:`bind_step`) instead.  A raised
+        exception makes the JIT degrade the enclosing block to its
+        decoded steps.
         """
         emit = self.emitter_table().get(instr.opcode)
         if emit is None:
@@ -304,21 +277,11 @@ class TargetModel:
     def bind_step(self, instr: AsmInstr) -> Callable:
         """Decode ``instr`` into a ``step(state)`` closure.
 
-        Tries the @binder registry first (operand-pre-extracted fast
-        closures); falls back to a thin wrapper over the reference
-        ``execute`` so every opcode is decodable even before it has a
-        specialized binder.  Unknown opcodes fail here, at decode time,
-        with the same error the reference interpreter raises.
+        Resolves the instruction's @semantics handler once, at decode
+        time, and binds the instruction to it: the fast tier runs the
+        same handlers as the reference interpreter, minus the per-step
+        dispatch.
         """
-        bind = self.binder_table().get(instr.opcode)
-        if bind is not None:
-            step = bind(instr)
-            if step is not None:
-                return step
-        return self._default_step(instr)
-
-    def _default_step(self, instr: AsmInstr) -> Callable:
-        """Generic step: resolve the handler now, bind the instruction."""
         handler = self.dispatch_table().get(instr.opcode)
         if handler is None:
             if type(self).execute is not TargetModel.execute:

@@ -33,7 +33,7 @@ from repro.codegen.regalloc import allocate_registers
 from repro.ir.trees import Tree
 from repro.sim.machine import MachineState, SimulationError
 from repro.targets.model import (
-    TargetCapabilities, TargetModel, binder, emitter, semantics,
+    TargetCapabilities, TargetModel, emitter, semantics,
 )
 
 _MASK16 = (1 << 16) - 1
@@ -260,7 +260,10 @@ class Risc16(TargetModel):
             return state.reg(operand.areg)
         raise SimulationError(f"unresolved operand {operand}")
 
-    # -- instruction semantics (reference interpreter) ------------------
+    # -- instruction semantics ------------------------------------------
+    #
+    # The reference interpreter dispatches on these handlers, and the
+    # fast simulator binds them at decode time (TargetModel.bind_step).
 
     _ALU_OPS = {
         "ADD": lambda a, b: a + b, "SUB": lambda a, b: a - b,
@@ -342,114 +345,11 @@ class Risc16(TargetModel):
     def _exec_nop(self, state: MachineState, instr: AsmInstr) -> None:
         pass
 
-    # -- fast-simulator binders ----------------------------------------
-
-    def _bind_address(self, operand: Mem):
-        if operand.mode == "direct":
-            address = operand.address
-            return lambda state: address
-        if operand.mode == "indirect":
-            areg = operand.areg
-            return lambda state: state.reg(areg)
-
-        def unresolved(state: MachineState) -> int:
-            raise SimulationError(f"unresolved operand {operand}")
-        return unresolved
-
-    @binder("LW")
-    def _bind_lw(self, instr: AsmInstr):
-        dest = instr.operands[0].name
-        addr = self._bind_address(instr.operands[1])
-
-        def step(state: MachineState) -> None:
-            state.regs[dest] = state.load(addr(state))
-        return step
-
-    @binder("SW")
-    def _bind_sw(self, instr: AsmInstr):
-        source = instr.operands[0].name
-        addr = self._bind_address(instr.operands[1])
-
-        def step(state: MachineState) -> None:
-            state.store(addr(state), _wrap16(state.reg(source)))
-        return step
-
-    @binder("LI")
-    def _bind_li(self, instr: AsmInstr):
-        dest = instr.operands[0].name
-        value = instr.operands[1].value
-
-        def step(state: MachineState) -> None:
-            state.regs[dest] = value
-        return step
-
-    @binder("ADD", "SUB")
-    def _bind_add_sub(self, instr: AsmInstr):
-        dest, left, right = (operand.name for operand in instr.operands)
-        if instr.opcode == "ADD":
-            def step(state: MachineState) -> None:
-                state.regs[dest] = _wrap32(
-                    state.reg(left) + state.reg(right))
-        else:
-            def step(state: MachineState) -> None:
-                state.regs[dest] = _wrap32(
-                    state.reg(left) - state.reg(right))
-        return step
-
-    @binder("MUL", "AND", "OR", "XOR", "MIN", "MAX")
-    def _bind_alu16(self, instr: AsmInstr):
-        dest, left, right = (operand.name for operand in instr.operands)
-        combine = self._ALU_OPS[instr.opcode]
-
-        def step(state: MachineState) -> None:
-            state.regs[dest] = _wrap32(
-                combine(_wrap16(state.reg(left)),
-                        _wrap16(state.reg(right))))
-        return step
-
-    @binder("ADDI")
-    def _bind_addi(self, instr: AsmInstr):
-        dest = instr.operands[0].name
-        source = instr.operands[1].name
-        value = instr.operands[2].value
-
-        def step(state: MachineState) -> None:
-            state.regs[dest] = _wrap32(state.reg(source) + value)
-        return step
-
-    @binder("SLLI", "SRAI")
-    def _bind_shift_imm(self, instr: AsmInstr):
-        dest = instr.operands[0].name
-        source = instr.operands[1].name
-        amount = instr.operands[2].value
-        if instr.opcode == "SLLI":
-            def step(state: MachineState) -> None:
-                state.regs[dest] = _wrap32(state.reg(source) << amount)
-        else:
-            def step(state: MachineState) -> None:
-                state.regs[dest] = state.reg(source) >> amount
-        return step
-
-    @binder("BNEZ")
-    def _bind_bnez(self, instr: AsmInstr):
-        counter = instr.operands[0].name
-        label = instr.operands[1].name
-
-        def step(state: MachineState) -> Optional[str]:
-            if state.reg(counter) != 0:
-                return label
-            return None
-        return step
-
-    @binder("NOP")
-    def _bind_nop(self, instr: AsmInstr):
-        return lambda state: None
-
     # -- JIT source templates ------------------------------------------
     #
     # Post-modification is expanded into explicit ADDI during address
-    # assignment, so (like the binders) these ignore it and use the
-    # bare effective address.
+    # assignment, so (like the @semantics handlers) these ignore it and
+    # use the bare effective address.
 
     _ALU_EXPRS = {
         "MUL": "{a} * {b}", "AND": "{a} & {b}", "OR": "{a} | {b}",

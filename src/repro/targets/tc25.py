@@ -40,7 +40,7 @@ from repro.ir.ops import OpKind
 from repro.ir.trees import WIDE_PREFIX, Tree
 from repro.sim.machine import MachineState, SimulationError
 from repro.targets.model import (
-    TargetCapabilities, TargetModel, binder, emitter, semantics,
+    TargetCapabilities, TargetModel, emitter, semantics,
 )
 
 _MASK32 = (1 << 32) - 1
@@ -436,8 +436,8 @@ class TC25(TargetModel):
     #
     # One @semantics handler per opcode group; the base TargetModel
     # dispatches on the registry, so this *is* the reference
-    # interpreter.  The @binder methods further down are the fast
-    # simulator's decode-time specializations of the same semantics.
+    # interpreter.  The fast simulator binds the same handlers at decode
+    # time (TargetModel.bind_step).
 
     @semantics("ZAC")
     def _exec_zac(self, state: MachineState, instr: AsmInstr) -> None:
@@ -714,12 +714,12 @@ class TC25(TargetModel):
         return values[index]
 
     # ------------------------------------------------------------------
-    # Fast-simulator decode hooks and binders
+    # Fast-simulator decode hooks
     # ------------------------------------------------------------------
     #
     # RPTK is the *only* writer of the repeat counter and its count is an
     # immediate, so the decoder fuses ``RPTK n ; X`` into one step that
-    # runs X's bound closure n+1 times -- cycles and step budget are
+    # runs X's bound handler n+1 times -- cycles and step budget are
     # static.  The per-dispatch ``mac_idx`` reset the reference
     # interpreter performs in :meth:`repeat_count` only matters to
     # MAC/MACD (the sole readers), hence :meth:`pre_dispatch`.
@@ -736,383 +736,6 @@ class TC25(TargetModel):
             return reset
         return None
 
-    # -- operand specializers ------------------------------------------
-
-    def _bind_mem_address(self, operand: Mem):
-        """addr(state) -> effective address, no post-modify."""
-        if operand.mode == "direct":
-            address = operand.address
-            return lambda state: address
-        if operand.mode == "indirect":
-            areg = operand.areg
-            return lambda state: state.reg(areg)
-
-        def unresolved(state: MachineState) -> int:
-            raise SimulationError(
-                f"unresolved memory operand {operand} "
-                "(run address assignment)")
-        return unresolved
-
-    def _bind_mem_read(self, operand: Mem):
-        """read(state) -> value, post-modify applied (ref: _read_mem)."""
-        if operand.mode == "direct":
-            address = operand.address
-            return lambda state: state.load(address)
-        if operand.mode == "indirect":
-            areg = operand.areg
-            bump = operand.post_modify
-            if bump:
-                def read(state: MachineState) -> int:
-                    address = state.reg(areg)
-                    value = state.load(address)
-                    state.regs[areg] = address + bump
-                    return value
-                return read
-            return lambda state: state.load(state.reg(areg))
-
-        def unresolved(state: MachineState) -> int:
-            raise SimulationError(
-                f"unresolved memory operand {operand} "
-                "(run address assignment)")
-        return unresolved
-
-    def _bind_mem_write(self, operand: Mem):
-        """write(state, value), 16-bit wrap + post-modify (_write_mem)."""
-        if operand.mode == "direct":
-            address = operand.address
-
-            def write(state: MachineState, value: int) -> None:
-                state.store(address, _wrap16(value))
-            return write
-        if operand.mode == "indirect":
-            areg = operand.areg
-            bump = operand.post_modify
-            if bump:
-                def write(state: MachineState, value: int) -> None:
-                    address = state.reg(areg)
-                    state.store(address, _wrap16(value))
-                    state.regs[areg] = address + bump
-                return write
-
-            def write(state: MachineState, value: int) -> None:
-                state.store(state.reg(areg), _wrap16(value))
-            return write
-
-        def unresolved(state: MachineState, value: int) -> None:
-            raise SimulationError(
-                f"unresolved memory operand {operand} "
-                "(run address assignment)")
-        return unresolved
-
-    # -- instruction binders -------------------------------------------
-
-    @binder("ZAC")
-    def _bind_zac(self, instr: AsmInstr):
-        def step(state: MachineState) -> None:
-            state.regs["acc"] = 0
-        return step
-
-    @binder("LACK", "LALK")
-    def _bind_load_imm(self, instr: AsmInstr):
-        value = instr.operands[0].value
-
-        def step(state: MachineState) -> None:
-            state.regs["acc"] = value
-        return step
-
-    @binder("LAC")
-    def _bind_lac(self, instr: AsmInstr):
-        read = self._bind_mem_read(instr.operands[0])
-
-        def step(state: MachineState) -> None:
-            state.regs["acc"] = read(state)
-        return step
-
-    @binder("LACS")
-    def _bind_lacs(self, instr: AsmInstr):
-        read = self._bind_mem_read(instr.operands[0])
-        shift = instr.operands[1].value
-
-        def step(state: MachineState) -> None:
-            state.regs["acc"] = _wrap32(read(state) << shift)
-        return step
-
-    @binder("ADD", "SUB")
-    def _bind_add_sub(self, instr: AsmInstr):
-        read = self._bind_mem_read(instr.operands[0])
-        if instr.opcode == "ADD":
-            def step(state: MachineState) -> None:
-                regs = state.regs
-                regs["acc"] = _wrap32(regs["acc"] + read(state))
-        else:
-            def step(state: MachineState) -> None:
-                regs = state.regs
-                regs["acc"] = _wrap32(regs["acc"] - read(state))
-        return step
-
-    @binder("ADDK", "ADLK", "SUBK", "SBLK")
-    def _bind_add_sub_imm(self, instr: AsmInstr):
-        value = instr.operands[0].value
-        if instr.opcode in ("SUBK", "SBLK"):
-            value = -value
-
-        def step(state: MachineState) -> None:
-            regs = state.regs
-            regs["acc"] = _wrap32(regs["acc"] + value)
-        return step
-
-    @binder("SACL", "SACH")
-    def _bind_store_acc(self, instr: AsmInstr):
-        write = self._bind_mem_write(instr.operands[0])
-        if instr.opcode == "SACL":
-            def step(state: MachineState) -> None:
-                write(state, state.regs["acc"])
-        else:
-            def step(state: MachineState) -> None:
-                write(state, state.regs["acc"] >> 16)
-        return step
-
-    @binder("ZALH")
-    def _bind_zalh(self, instr: AsmInstr):
-        read = self._bind_mem_read(instr.operands[0])
-
-        def step(state: MachineState) -> None:
-            state.regs["acc"] = _wrap32(read(state) << 16)
-        return step
-
-    @binder("ADDS")
-    def _bind_adds(self, instr: AsmInstr):
-        read = self._bind_mem_read(instr.operands[0])
-
-        def step(state: MachineState) -> None:
-            regs = state.regs
-            regs["acc"] = _wrap32(regs["acc"] + (read(state) & 0xFFFF))
-        return step
-
-    @binder("SFL", "SFR")
-    def _bind_shift(self, instr: AsmInstr):
-        if instr.opcode == "SFL":
-            def step(state: MachineState) -> None:
-                regs = state.regs
-                regs["acc"] = _wrap32(regs["acc"] << 1)
-        else:
-            def step(state: MachineState) -> None:
-                state.regs["acc"] >>= 1
-        return step
-
-    @binder("DMOV")
-    def _bind_dmov(self, instr: AsmInstr):
-        operand = instr.operands[0]
-        addr = self._bind_mem_address(operand)
-        bump = (operand.post_modify
-                if operand.mode == "indirect" else 0)
-        areg = operand.areg
-
-        def step(state: MachineState) -> None:
-            address = addr(state)
-            state.store(address + 1, state.load(address))
-            if bump:
-                state.regs[areg] = address + bump
-        return step
-
-    @binder("LT")
-    def _bind_lt(self, instr: AsmInstr):
-        read = self._bind_mem_read(instr.operands[0])
-
-        def step(state: MachineState) -> None:
-            state.regs["t"] = read(state)
-        return step
-
-    @binder("MPY")
-    def _bind_mpy(self, instr: AsmInstr):
-        read = self._bind_mem_read(instr.operands[0])
-
-        def step(state: MachineState) -> None:
-            regs = state.regs
-            regs["p"] = _wrap32(regs["t"] * read(state))
-        return step
-
-    @binder("MPYK")
-    def _bind_mpyk(self, instr: AsmInstr):
-        value = instr.operands[0].value
-
-        def step(state: MachineState) -> None:
-            regs = state.regs
-            regs["p"] = _wrap32(regs["t"] * value)
-        return step
-
-    @binder("PAC", "APAC", "SPAC")
-    def _bind_p_transfer(self, instr: AsmInstr):
-        op = instr.opcode
-        if op == "PAC":
-            def step(state: MachineState) -> None:
-                regs = state.regs
-                regs["acc"] = regs["p"] >> state.modes.get("pm", 0)
-        elif op == "APAC":
-            def step(state: MachineState) -> None:
-                regs = state.regs
-                regs["acc"] = _wrap32(
-                    regs["acc"]
-                    + (regs["p"] >> state.modes.get("pm", 0)))
-        else:
-            def step(state: MachineState) -> None:
-                regs = state.regs
-                regs["acc"] = _wrap32(
-                    regs["acc"]
-                    - (regs["p"] >> state.modes.get("pm", 0)))
-        return step
-
-    @binder("LTA", "LTS", "LTP")
-    def _bind_lt_combo(self, instr: AsmInstr):
-        read = self._bind_mem_read(instr.operands[0])
-        op = instr.opcode
-        if op == "LTA":
-            def step(state: MachineState) -> None:
-                regs = state.regs
-                regs["acc"] = _wrap32(
-                    regs["acc"]
-                    + (regs["p"] >> state.modes.get("pm", 0)))
-                regs["t"] = read(state)
-        elif op == "LTS":
-            def step(state: MachineState) -> None:
-                regs = state.regs
-                regs["acc"] = _wrap32(
-                    regs["acc"]
-                    - (regs["p"] >> state.modes.get("pm", 0)))
-                regs["t"] = read(state)
-        else:
-            def step(state: MachineState) -> None:
-                regs = state.regs
-                regs["acc"] = regs["p"] >> state.modes.get("pm", 0)
-                regs["t"] = read(state)
-        return step
-
-    @binder("LTD")
-    def _bind_ltd(self, instr: AsmInstr):
-        operand = instr.operands[0]
-        addr = self._bind_mem_address(operand)
-        bump = (operand.post_modify
-                if operand.mode == "indirect" else 0)
-        areg = operand.areg
-
-        def step(state: MachineState) -> None:
-            regs = state.regs
-            regs["acc"] = _wrap32(
-                regs["acc"] + (regs["p"] >> state.modes.get("pm", 0)))
-            address = addr(state)
-            data = state.load(address)
-            regs["t"] = data
-            state.store(address + 1, data)
-            if bump:
-                regs[areg] = address + bump
-        return step
-
-    @binder("MAC", "MACD")
-    def _bind_mac(self, instr: AsmInstr):
-        table = instr.operands[0].name
-        operand = instr.operands[1]
-        addr = self._bind_mem_address(operand)
-        bump = (operand.post_modify
-                if operand.mode == "indirect" else 0)
-        areg = operand.areg
-        shift_delay = instr.opcode == "MACD"
-
-        def step(state: MachineState) -> None:
-            regs = state.regs
-            address = addr(state)
-            data = state.load(address)
-            if shift_delay:
-                state.store(address + 1, data)
-            if bump:
-                regs[areg] = address + bump
-            values = state.pmem_tables.get(table)
-            if values is None:
-                raise SimulationError(
-                    f"program-memory table {table!r} not loaded")
-            index = regs["mac_idx"]
-            if not 0 <= index < len(values):
-                raise SimulationError(
-                    f"MAC read past end of table {table!r} "
-                    f"(index {index})")
-            regs["mac_idx"] = index + 1
-            regs["acc"] = _wrap32(
-                regs["acc"] + (regs["p"] >> state.modes.get("pm", 0)))
-            regs["p"] = _wrap32(values[index] * data)
-        return step
-
-    @binder("SPM")
-    def _bind_spm(self, instr: AsmInstr):
-        value = instr.operands[0].value
-
-        def step(state: MachineState) -> None:
-            state.modes["pm"] = value
-        return step
-
-    @binder("LARK", "LRLK")
-    def _bind_load_ar(self, instr: AsmInstr):
-        name = instr.operands[0].name
-        value = instr.operands[1].value
-
-        def step(state: MachineState) -> None:
-            state.regs[name] = value
-        return step
-
-    @binder("LAR")
-    def _bind_lar(self, instr: AsmInstr):
-        name = instr.operands[0].name
-        read = self._bind_mem_read(instr.operands[1])
-
-        def step(state: MachineState) -> None:
-            state.regs[name] = read(state)
-        return step
-
-    @binder("SAR")
-    def _bind_sar(self, instr: AsmInstr):
-        name = instr.operands[0].name
-        write = self._bind_mem_write(instr.operands[1])
-
-        def step(state: MachineState) -> None:
-            write(state, state.regs[name])
-        return step
-
-    @binder("MAR")
-    def _bind_mar(self, instr: AsmInstr):
-        operand = instr.operands[0]
-        if operand.mode == "indirect" and operand.post_modify:
-            areg = operand.areg
-            bump = operand.post_modify
-
-            def step(state: MachineState) -> None:
-                state.regs[areg] = state.reg(areg) + bump
-            return step
-
-        def step(state: MachineState) -> None:
-            pass
-        return step
-
-    @binder("B")
-    def _bind_b(self, instr: AsmInstr):
-        label = instr.operands[0].name
-        return lambda state: label
-
-    @binder("BANZ")
-    def _bind_banz(self, instr: AsmInstr):
-        label = instr.operands[0].name
-        areg = instr.operands[1].name
-
-        def step(state: MachineState) -> Optional[str]:
-            regs = state.regs
-            value = regs[areg]
-            regs[areg] = _wrap16(value - 1)
-            if value != 0:
-                return label
-            return None
-        return step
-
-    @binder("NOP")
-    def _bind_nop(self, instr: AsmInstr):
-        return lambda state: None
-
     # ------------------------------------------------------------------
     # JIT source templates (the @emitter registry)
     # ------------------------------------------------------------------
@@ -1122,8 +745,8 @@ class TC25(TargetModel):
     # these to append specialized source with operands folded into
     # literals and registers held in locals.  A template that cannot
     # express an operand shape raises or returns False and the JIT
-    # degrades (closure call / decoded block / reference interpreter)
-    # without changing results.
+    # degrades (bound-handler call / decoded block / reference
+    # interpreter) without changing results.
 
     def emit_pre_py(self, instr: AsmInstr, ctx) -> bool:
         # Mirrors pre_dispatch: MAC/MACD reset the coefficient stream.

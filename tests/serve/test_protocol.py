@@ -82,6 +82,8 @@ def test_verify_carries_input_sets_and_targets():
      "'input_sets'"),
     ({"op": "verify", "program": {}, "targets": ["z80"]},
      "unknown target"),
+    ({"op": "verify", "program": {}, "targets": 5}, "'targets'"),
+    ({"op": "verify", "program": {}, "targets": []}, "non-empty"),
 ], ids=lambda value: str(value)[:40])
 def test_malformed_requests_raise(payload, needle):
     with pytest.raises(ProtocolError) as excinfo:

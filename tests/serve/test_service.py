@@ -302,6 +302,25 @@ def test_errors_become_envelopes_and_service_survives(
     assert stats.errors == 2
 
 
+def test_malformed_verify_targets_get_a_protocol_error(service_factory):
+    async def scenario():
+        service = service_factory()
+        try:
+            before = service.stats.errors
+            response = await service.handle(
+                {"id": 7, "op": "verify", "kernel": "real_update",
+                 "targets": 5})
+            return response, service.stats.errors - before
+        finally:
+            await service.close()
+
+    response, new_errors = run(scenario())
+    assert not response["ok"]
+    assert response["id"] == 7
+    assert response["error_type"] == "ProtocolError"
+    assert new_errors == 1
+
+
 def test_stats_snapshot_has_dedup_counters(service_factory):
     async def scenario():
         service = service_factory()

@@ -66,15 +66,15 @@ def test_cycles_of(compiled):
         cycles_of(compiled, {"x": 5, "v": [4, 5, 6]})
 
 
-def test_fast_sim_opt_out_is_identical(compiled):
+def test_reference_tier_is_identical(compiled):
     env = {"x": 7, "v": [4, 5, 6]}
     fast_outputs, fast_state = run_compiled(compiled, env)
     ref_outputs, ref_state = run_compiled(compiled, env,
-                                          fast_sim=False)
+                                          sim="reference")
     assert fast_outputs == ref_outputs
     assert fast_state.cycles == ref_state.cycles
     assert cycles_of(compiled, env) == cycles_of(compiled, env,
-                                                 fast_sim=False)
+                                                 sim="reference")
 
 
 def test_run_many_matches_individual_runs(compiled):
@@ -91,7 +91,7 @@ def test_run_many_reference_mode(compiled):
     envs = [{"x": 1, "v": [1, 2, 3]}, {"x": 2, "v": [4, 5, 6]}]
     assert [outputs for outputs, _ in run_many(compiled, envs)] \
         == [outputs for outputs, _ in run_many(compiled, envs,
-                                               fast_sim=False)]
+                                               sim="reference")]
 
 
 def test_missing_table_input_rejected():

@@ -3,9 +3,10 @@
 The jit's contract is FastMachine's contract: bit-identical
 environments, registers, modes and cycle counts, with graceful
 degradation per block -- an opcode without a usable ``@emitter``
-template gets an inlined closure call, a template that raises demotes
-only its block to the decoded closure runner, and both demotions are
-observable in the translation counters but never in results.
+template gets an inlined call to its bound ``@semantics`` handler, a
+template that raises demotes only its block to the decoded block
+runner, and both demotions are observable in the translation counters
+but never in results.
 """
 
 import logging
@@ -115,13 +116,29 @@ def test_self_loop_blocks_are_fused():
 
 
 # ----------------------------------------------------------------------
-# Degradation chain: template missing/declining -> inline closure call;
-# template broken -> whole block demoted to decoded closures
+# Degradation chain: template missing/declining -> inline call to the
+# bound @semantics handler; template broken -> whole block demoted to
+# its decoded steps
 # ----------------------------------------------------------------------
+
+# RPTK is the one opcode without an @emitter template: it never runs as
+# a step of its own, because decode fuses it into the instruction it
+# repeats.
+@pytest.mark.parametrize("target_cls,untemplated", [
+    (TC25, {"RPTK"}), (Asip, {"RPTK"}), (M56, set()), (Risc16, set()),
+], ids=["tc25", "asip", "m56", "risc16"])
+def test_every_opcode_has_an_emitter(target_cls, untemplated):
+    # A new opcode without a template fails here instead of running
+    # through a jit closure slot unnoticed.
+    handlers = set(target_cls._SEMANTICS_ATTRS)
+    templates = set(target_cls._EMITTER_ATTRS)
+    assert templates <= handlers
+    assert handlers - templates == untemplated
+
 
 class DecliningAddTC25(TC25):
     """ADD has no usable template: emit_py declines, the jit inlines a
-    call to the instruction's bound @binder closure instead."""
+    call to the instruction's bound @semantics handler instead."""
 
     def __init__(self):
         super().__init__()
@@ -134,7 +151,8 @@ class DecliningAddTC25(TC25):
 
 class BrokenAddTC25(TC25):
     """ADD's template raises mid-emission: the surrounding block (only)
-    degrades to its decoded FastMachine closures."""
+    degrades to its decoded FastMachine steps, the bound @semantics
+    handlers."""
 
     def __init__(self):
         super().__init__()
@@ -174,6 +192,71 @@ def test_broken_template_demotes_only_its_block():
     assert stats["blocks_closure"] >= 1     # the ADD block demoted
     assert stats["blocks_emitted"] >= 1     # other blocks still jitted
     assert stats["fallbacks"] == 0          # program-level jit survived
+
+
+class DecliningAddM56(M56):
+    """ADD declines: its closure slot runs M56's gather/commit step,
+    packed parallel moves included."""
+
+    def __init__(self):
+        super().__init__()
+        self.name = "m56-declining-add"
+
+    @emitter("ADD")
+    def _emit_add_declines(self, instr, ctx):
+        return False
+
+
+class BrokenAddM56(M56):
+    """ADD's template raises: its block runs decoded gather/commit
+    steps."""
+
+    def __init__(self):
+        super().__init__()
+        self.name = "m56-broken-add"
+
+    @emitter("ADD")
+    def _emit_add_broken(self, instr, ctx):
+        ctx.set_reg("a", "0xDEAD")        # partial emission, then:
+        raise RuntimeError("deliberately broken template")
+
+
+# ADD x0 carries a packed store of the *old* accumulator through a
+# post-incremented pointer: read before write, commit after.
+M56_DEGRADATION_CODE = CodeSeq([
+    ins("MOVEI", Reg("x0"), Imm(3)),
+    ins("MOVEI", Reg("r1"), Imm(10)),
+    ins("CLR", Reg("a")),
+    ins("DO", Imm(4)),
+    Label("D0"),
+    ins("ADD", Reg("x0"), parallel=(
+        ins("MOVE", Mem("v", mode="indirect", areg="r1",
+                        post_modify=1, bank="x"), Reg("a")),)),
+    ins("LOOPEND", LabelRef("D0")),
+    ins("MOVE", direct(0), Reg("a")),
+])
+
+
+def test_declining_template_on_m56_runs_gather_commit_step():
+    state = assert_tiers_identical(DecliningAddM56(),
+                                   M56_DEGRADATION_CODE)
+    assert state.mem[0] == 12
+    assert state.mem[10:14] == [0, 3, 6, 9]
+    assert state.regs["r1"] == 14
+    stats = jit_cache_stats()
+    assert stats["closure_steps"] >= 1      # the ADD slot
+    assert stats["blocks_closure"] == 0
+    assert stats["fallbacks"] == 0
+
+
+def test_broken_template_on_m56_demotes_to_gather_commit_steps():
+    state = assert_tiers_identical(BrokenAddM56(), M56_DEGRADATION_CODE)
+    assert state.mem[0] == 12
+    assert state.mem[10:14] == [0, 3, 6, 9]
+    stats = jit_cache_stats()
+    assert stats["blocks_closure"] >= 1     # the ADD block demoted
+    assert stats["blocks_emitted"] >= 1     # other blocks still jitted
+    assert stats["fallbacks"] == 0
 
 
 def test_tier_chain_bottoms_out_at_reference():
