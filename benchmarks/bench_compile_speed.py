@@ -9,8 +9,9 @@ target matrix:
 - **uncached serial** -- the historical path: global tree interning
   off, a fresh compiler (fresh BURS matcher, rebuilt grammar) per
   compile;
-- **cached serial** -- interned trees, memoized grammars, and one
-  pooled matcher per (compiler, target) reused across every kernel;
+- **cached serial** -- interned trees, memoized grammars and variant
+  lists, and a label cache per compile (one pooled compiler per
+  (compiler, target); label states live for one program);
 - **cached parallel** -- the same jobs on the compile farm's process
   pool (only meaningful on multi-core machines).
 

@@ -243,31 +243,32 @@ class BaselineCompiler:
                                loop_sym: Optional[str]) -> Tree:
         """Replace every induction-indexed read with a scratch scalar
         filled by an explicit address-computation sequence."""
-        loads: Dict[Tuple[str, int, int], str] = {}
+        return self._lower_reads(tree, ctx, loop_sym, {})
 
-        def walk(node: Tree) -> Tree:
-            if node.kind is OpKind.REF and node.index is not None \
-                    and node.index.coeff != 0:
-                key = (node.symbol, node.index.coeff, node.index.offset)
-                if key not in loads:
-                    cell = ctx.scratch()
-                    self._emit_indexed_address(ctx, loop_sym, node.symbol,
-                                               node.index)
-                    ctx.emit(_ins("LAC", _indirect(node.symbol,
-                                                   node.index)))
-                    ctx.emit(_ins("SACL", cell))
-                    loads[key] = cell.symbol
-                return Tree.ref(loads[key])
-            if not node.children:
-                return node
-            children = tuple(walk(child) for child in node.children)
-            if children == node.children:
-                return node
-            return Tree(node.kind, operator=node.operator,
-                        children=children, value=node.value,
-                        symbol=node.symbol, index=node.index)
-
-        return walk(tree)
+    def _lower_reads(self, node: Tree, ctx: EmitContext,
+                     loop_sym: Optional[str],
+                     loads: Dict[Tuple[str, int, int], str]) -> Tree:
+        """:meth:`_lower_induction_reads` below ``node``; ``loads`` maps
+        each array access already loaded to its scratch cell."""
+        if node.kind is OpKind.REF and node.index is not None \
+                and node.index.coeff != 0:
+            key = (node.symbol, node.index.coeff, node.index.offset)
+            if key not in loads:
+                cell = ctx.scratch()
+                self._emit_indexed_address(ctx, loop_sym, node.symbol,
+                                           node.index)
+                ctx.emit(_ins("LAC", _indirect(node.symbol, node.index)))
+                ctx.emit(_ins("SACL", cell))
+                loads[key] = cell.symbol
+            return Tree.ref(loads[key])
+        if not node.children:
+            return node
+        children = tuple(self._lower_reads(child, ctx, loop_sym, loads)
+                         for child in node.children)
+        if children == node.children:
+            return node
+        return Tree(node.kind, operator=node.operator, children=children,
+                    value=node.value, symbol=node.symbol, index=node.index)
 
     def _emit_indexed_address(self, ctx: EmitContext,
                               loop_sym: Optional[str], symbol: str,

@@ -222,7 +222,11 @@ class BurgMatcher:
     """A labeller/reducer generated from a tree grammar.
 
     ``metric`` selects the optimization objective: ``"size"`` (code
-    words; the paper's Table 1 metric) or ``"speed"`` (cycles).
+    words; the paper's Table 1 metric) or ``"speed"`` (cycles).  As in
+    iburg, label states live with the trees being covered: the compiler
+    builds a matcher per program's selection and drops it afterwards
+    (states kept across programs only fill the heap the cyclic collector
+    rescans); the rule plans stay with the grammar.
     """
 
     def __init__(self, grammar: TreeGrammar, metric: str = "size",
@@ -231,13 +235,11 @@ class BurgMatcher:
         self.metric = metric
         Cost().key(metric)   # validate metric early
         self._plans = _plan_table(grammar, metric)
-        # Persistent label cache: states depend only on the (fixed)
-        # grammar and the subtree, so they are shared across label()
-        # calls -- the selector labels many algebraic variants that
-        # overlap heavily in subtrees, and a matcher kept alive by the
-        # compiler's pool shares them across whole programs.  With
-        # ``cache=False`` every label() call starts cold (the
-        # before/after baseline of bench_compile_speed).
+        # Label cache: states depend only on the (fixed) grammar and
+        # the subtree, so they are shared across label() calls -- the
+        # selector labels many algebraic variants that overlap heavily
+        # in subtrees.  With ``cache=False`` every label() call starts
+        # cold (the before/after baseline of bench_compile_speed).
         self.cache = cache
         self._states: Dict[Tree, _State] = {}
         # Cache telemetry, surfaced through SelectionStats.

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.codegen.asm import AsmInstr, CodeSeq, Label, LoopBegin, LoopEnd
+from repro.codegen.structure import LoopNode, Run, flatten, parse
 
 if TYPE_CHECKING:   # pragma: no cover
     from repro.targets.model import TargetModel
@@ -67,52 +68,40 @@ def hoist_mode_changes_from_loop_heads(code: CodeSeq,
     Hoisting is sound when the rest of the body contains no other
     mode-change instruction: the mode then survives the back edge.
     """
-    from repro.codegen.structure import LoopNode, Run, flatten, parse
-
     changers = mode_change_opcodes(target)
     if not changers:
         return code
-    nodes = parse(code)
+    return flatten(_hoist(parse(code), changers))
 
-    def hoist(node_list: List) -> List:
-        result: List = []
-        for node in node_list:
-            if not isinstance(node, LoopNode):
-                result.append(node)
-                continue
-            node.body = hoist(node.body)
-            leading: List[AsmInstr] = []
-            while node.body and isinstance(node.body[0], Run) \
-                    and node.body[0].items \
-                    and isinstance(node.body[0].items[0], AsmInstr) \
-                    and node.body[0].items[0].opcode in changers:
-                leading.append(node.body[0].items.pop(0))
-                if not node.body[0].items:
-                    node.body.pop(0)
-            def contains_changer(children) -> bool:
-                for child in children:
-                    if isinstance(child, Run):
-                        if any(isinstance(item, AsmInstr)
-                               and item.opcode in changers
-                               for item in child.items):
-                            return True
-                    elif contains_changer(child.body):
-                        return True
-                return False
 
-            others = contains_changer(node.body)
-            if leading and not others:
-                result.append(Run(items=list(leading)))
-            elif leading:
-                # unsafe to hoist: put them back
-                if node.body and isinstance(node.body[0], Run):
-                    node.body[0].items[0:0] = leading
-                else:
-                    node.body.insert(0, Run(items=list(leading)))
+def _hoist(nodes: List, changers) -> List:
+    """:func:`hoist_mode_changes_from_loop_heads` on parsed regions."""
+    result: List = []
+    for node in nodes:
+        if not isinstance(node, LoopNode):
             result.append(node)
-        return result
-
-    return flatten(hoist(nodes))
+            continue
+        node.body = _hoist(node.body, changers)
+        leading: List[AsmInstr] = []
+        while node.body and isinstance(node.body[0], Run) \
+                and node.body[0].items \
+                and isinstance(node.body[0].items[0], AsmInstr) \
+                and node.body[0].items[0].opcode in changers:
+            leading.append(node.body[0].items.pop(0))
+            if not node.body[0].items:
+                node.body.pop(0)
+        others = any(isinstance(item, AsmInstr) and item.opcode in changers
+                     for item in flatten(node.body).items)
+        if leading and not others:
+            result.append(Run(items=list(leading)))
+        elif leading:
+            # unsafe to hoist: put them back
+            if node.body and isinstance(node.body[0], Run):
+                node.body[0].items[0:0] = leading
+            else:
+                node.body.insert(0, Run(items=list(leading)))
+        result.append(node)
+    return result
 
 
 # ----------------------------------------------------------------------

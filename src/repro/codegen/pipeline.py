@@ -66,9 +66,10 @@ class RecordOptions:
     offset_assignment: str = "liao"    # banked/indirect targets
     bank_assignment: str = "greedy"    # banked targets
     compaction: str = "greedy"         # targets with parallel slots
-    # Share one BURS labeller (and its label cache) across compile()
-    # calls of the same compiler instance.  OFF reproduces the cold
-    # per-compile path (the bench_compile_speed baseline).
+    # Keep BURS label states for the whole selection of a program (the
+    # variants of one tree share most subtrees), and across the
+    # compilers of one SelectionMemo.  OFF relabels every tree from
+    # scratch (the bench_compile_speed baseline).
     label_cache: bool = True
 
     def to_dict(self) -> dict:
@@ -149,15 +150,24 @@ class SelectionMemo:
 
     Label states depend only on the grammar, the metric and the
     subtree, so one matcher per metric serves every compiler the memo is
-    handed.  Selection reads only :data:`SELECTION_FIELDS`, so the first
-    compile of each selection key selects and later ones finish a
-    replayed copy.  The memo is keyed by the selection fields alone:
-    hand it to compilers of one program and one target only.
+    handed; its states live as long as the memo (a compiler without a
+    memo labels each selection with a matcher of its own).  Selection
+    reads only :data:`SELECTION_FIELDS`, so the first compile of each
+    selection key selects and later ones finish a replayed copy.  The
+    memo is keyed by the selection fields alone: hand it to compilers
+    of one program and one target only.
     """
 
     def __init__(self) -> None:
         self.matchers: Dict[str, BurgMatcher] = {}
         self._selections: Dict[Tuple, Selection] = {}
+
+    def matcher(self, grammar, metric: str) -> BurgMatcher:
+        """The memo's labeller for ``metric``."""
+        matcher = self.matchers.get(metric)
+        if matcher is None:
+            matcher = self.matchers[metric] = BurgMatcher(grammar, metric)
+        return matcher
 
     def selection(self, compiler: "RecordCompiler",
                   program: Program) -> Selection:
@@ -189,21 +199,6 @@ class RecordCompiler:
         self.target = target
         self.options = options or RecordOptions()
         self._memo = memo
-        # Matcher pool, keyed by metric: BURS label states depend only
-        # on the (immutable) grammar and the subtree, so one labeller --
-        # and its label cache -- serves every compile() of this
-        # compiler (of every compiler sharing its memo).  Kernels of a
-        # suite share many subtrees (MAC sums, delay-line shifts),
-        # which the cache turns into O(1) lookups.
-        self._matchers: Dict[str, BurgMatcher] = \
-            memo.matchers if memo is not None else {}
-
-    def _matcher_for(self, metric: str) -> BurgMatcher:
-        matcher = self._matchers.get(metric)
-        if matcher is None:
-            matcher = BurgMatcher(self.target.grammar(), metric)
-            self._matchers[metric] = matcher
-        return matcher
 
     # ------------------------------------------------------------------
 
@@ -230,12 +225,13 @@ class RecordCompiler:
         only the :data:`SELECTION_FIELDS` of the options."""
         options = self.options
         started = perf_counter()
-        selector = Selector(self.target.grammar(), metric=options.metric,
+        grammar = self.target.grammar()
+        matcher = self._memo.matcher(grammar, options.metric) \
+            if options.label_cache and self._memo is not None else None
+        selector = Selector(grammar, metric=options.metric,
                             algebraic=options.algebraic,
                             variant_limit=options.variant_limit,
-                            fpc=self.target.fpc,
-                            matcher=self._matcher_for(options.metric)
-                            if options.label_cache else None,
+                            fpc=self.target.fpc, matcher=matcher,
                             label_cache=options.label_cache)
         ctx = EmitContext()
         temp_counter = [0]
@@ -347,16 +343,13 @@ class RecordCompiler:
 def read_only_input_arrays(program: Program) -> Dict[str, int]:
     """Input arrays the program never writes (pmem-table candidates)."""
     written: Set[str] = set()
-
-    def scan(items: List[ProgramItem]) -> None:
-        for item in items:
-            if isinstance(item, Block):
-                for output in item.dfg.outputs:
-                    written.add(output.symbol)
-            elif isinstance(item, Loop):
-                scan(item.body)
-
-    scan(program.body)
+    pending: List[ProgramItem] = list(program.body)
+    while pending:
+        item = pending.pop()
+        if isinstance(item, Block):
+            written.update(output.symbol for output in item.dfg.outputs)
+        elif isinstance(item, Loop):
+            pending.extend(item.body)
     return {
         name: symbol.size
         for name, symbol in program.symbols.items()
@@ -385,26 +378,21 @@ def collect_extra_scalars(code: CodeSeq, program: Program) -> List[str]:
 
 def finalize_loops(code: CodeSeq, target: "TargetModel") -> CodeSeq:
     """Realize loop markers as target instructions, innermost-first."""
-    nodes = parse(code)
     out = CodeSeq()
-
-    def emit(node_list, depth: int) -> None:
-        for node in node_list:
-            if isinstance(node, Run):
-                out.extend(node.items)
-                continue
-            body = CodeSeq()
-            saved = out.items
-            try:
-                out.items = body.items
-                emit(node.body, depth + 1)
-            finally:
-                out.items = saved
-            prologue, epilogue = target.finalize_loop(
-                node.count, list(body.items), node.loop_id, depth)
-            out.extend(prologue)
-            out.extend(body.items)
-            out.extend(epilogue)
-
-    emit(nodes, depth=0)
+    _finalize_into(out, parse(code), target, depth=0)
     return out
+
+
+def _finalize_into(out: CodeSeq, nodes, target: "TargetModel",
+                   depth: int) -> None:
+    for node in nodes:
+        if isinstance(node, Run):
+            out.extend(node.items)
+            continue
+        body = CodeSeq()
+        _finalize_into(body, node.body, target, depth + 1)
+        prologue, epilogue = target.finalize_loop(
+            node.count, list(body.items), node.loop_id, depth)
+        out.extend(prologue)
+        out.extend(body.items)
+        out.extend(epilogue)

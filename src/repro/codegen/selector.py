@@ -56,7 +56,7 @@ class SelectionStats:
     rescues: int = 0
     total_cost: Cost = field(default_factory=Cost)
     # BURS label-cache telemetry (deltas of the matcher's counters over
-    # this selector's lifetime; the matcher may be shared/pooled).
+    # this selector's lifetime; the matcher may be shared).
     label_hits: int = 0
     label_misses: int = 0
     # wall-clock spent enumerating algebraic variants / labelling
@@ -94,9 +94,10 @@ class Selector:
                  fpc: Optional[FixedPointContext] = None,
                  matcher: Optional[BurgMatcher] = None,
                  label_cache: bool = True):
-        """``matcher`` shares an existing (pooled) labeller -- it must
-        have been built from the same grammar and metric; its label
-        cache then persists across selectors and compiles."""
+        """``matcher`` shares an existing labeller (a
+        :class:`~repro.codegen.pipeline.SelectionMemo`'s) -- it must have
+        been built from the same grammar and metric; its label states
+        then persist across the selectors that share it."""
         if matcher is not None:
             self.matcher = matcher
         else:

@@ -86,18 +86,18 @@ def parse(code: CodeSeq) -> List[Node]:
 def flatten(nodes: List[Node]) -> CodeSeq:
     """Flatten a region tree back to a marker-delimited code sequence."""
     code = CodeSeq()
-
-    def walk(node_list: List[Node]) -> None:
-        for node in node_list:
-            if isinstance(node, Run):
-                code.extend(node.items)
-            else:
-                code.append(node.begin)
-                walk(node.body)
-                code.append(node.end)
-
-    walk(nodes)
+    _flatten_into(code, nodes)
     return code
+
+
+def _flatten_into(code: CodeSeq, nodes: List[Node]) -> None:
+    for node in nodes:
+        if isinstance(node, Run):
+            code.extend(node.items)
+        else:
+            code.append(node.begin)
+            _flatten_into(code, node.body)
+            code.append(node.end)
 
 
 def iter_loops(nodes: List[Node]) -> Iterator[LoopNode]:

@@ -271,7 +271,8 @@ _SESSION: List[object] = []
 
 
 def worker_session():
-    """This process's pooled :class:`~repro.verify.diff.VerifySession`."""
+    """This process's pooled :class:`~repro.verify.diff.VerifySession`
+    (bounded in memory however many programs the worker compiles)."""
     if not _SESSION:
         from repro.verify.diff import VerifySession
         _SESSION.append(VerifySession())

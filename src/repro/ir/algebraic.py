@@ -15,7 +15,6 @@ exhausted.  Soundness of every rule is checked by property-based tests
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -26,50 +25,27 @@ DEFAULT_VARIANT_LIMIT = 64
 
 # Variant enumeration is a pure function of (tree, rules, limit); with
 # interned trees the key hashes in O(1), so repeated compiles of the
-# same programs (benchmark rounds, report regeneration, the compile
-# farm's per-process compiler pool) skip the whole rewrite search.
-#
-# The memo is LRU-bounded: a long fuzz run streams an unbounded number
-# of distinct trees through the selector, and each entry pins up to
-# ``limit`` variant trees (which in turn pin intern-table slots), so an
-# unbounded dict would grow memory for the whole run.  Hits move the
-# entry to the young end; inserts beyond the cap evict the oldest.
-_VARIANT_CACHE: "OrderedDict" = OrderedDict()
-_VARIANT_CACHE_LIMIT = 4096
+# same programs (benchmark rounds, report regeneration, a tune cell's
+# candidates) skip the whole rewrite search.  Its keys and values are
+# interned trees, so the memo lives for one intern-table generation:
+# the flip at repro.ir.trees.INTERN_LIMIT drops both together.
+_VARIANT_CACHE: Dict[tuple, Tuple[Tree, ...]] = {}
 _VARIANT_CACHE_EVICTIONS = 0
 
 
 def clear_variant_cache() -> None:
-    """Drop the memoized variant lists (used by the caching toggle)."""
+    """Drop the memoized variant lists (with the intern table)."""
     global _VARIANT_CACHE_EVICTIONS
+    _VARIANT_CACHE_EVICTIONS += len(_VARIANT_CACHE)
     _VARIANT_CACHE.clear()
-    _VARIANT_CACHE_EVICTIONS = 0
-
-
-def set_variant_cache_limit(limit: int) -> int:
-    """Set the LRU entry cap; returns the previous cap.
-
-    Shrinking below the current population evicts (oldest first)
-    immediately.
-    """
-    global _VARIANT_CACHE_LIMIT, _VARIANT_CACHE_EVICTIONS
-    if limit < 1:
-        raise ValueError("variant cache limit must be at least 1")
-    previous = _VARIANT_CACHE_LIMIT
-    _VARIANT_CACHE_LIMIT = limit
-    while len(_VARIANT_CACHE) > limit:
-        _VARIANT_CACHE.popitem(last=False)
-        _VARIANT_CACHE_EVICTIONS += 1
-    return previous
 
 
 def variant_cache_info() -> dict:
-    """Occupancy stats: ``{"size", "limit", "evictions"}``."""
-    return {
-        "size": len(_VARIANT_CACHE),
-        "limit": _VARIANT_CACHE_LIMIT,
-        "evictions": _VARIANT_CACHE_EVICTIONS,
-    }
+    """Occupancy stats: ``{"size", "evictions"}``.  Every memo miss
+    inserts one entry and every clear counts the entries it drops, so
+    ``size + evictions`` is the process's number of misses."""
+    return {"size": len(_VARIANT_CACHE),
+            "evictions": _VARIANT_CACHE_EVICTIONS}
 
 
 @dataclass(frozen=True)
@@ -228,55 +204,51 @@ def enumerate_variants(tree: Tree,
         key = (tree, tuple(rules), limit)
         cached = _VARIANT_CACHE.get(key)
         if cached is not None:
-            _VARIANT_CACHE.move_to_end(key)
             return list(cached)
     variants = _enumerate_variants(tree, rules, limit)
     if caching:
-        global _VARIANT_CACHE_EVICTIONS
         _VARIANT_CACHE[key] = tuple(variants)
-        while len(_VARIANT_CACHE) > _VARIANT_CACHE_LIMIT:
-            _VARIANT_CACHE.popitem(last=False)
-            _VARIANT_CACHE_EVICTIONS += 1
     return variants
+
+
+def _one_step(node: Tree, rules: Sequence[RewriteRule],
+              memo: Dict[Tree, Tuple[Tree, ...]]) -> Tuple[Tree, ...]:
+    """Every tree obtainable by one rule firing at one position of
+    ``node``: the rules at the root in rule order, then each child's
+    rewrites in child order.  ``memo`` holds one enumeration's rewrites
+    per distinct subtree: variants share most of their subtrees, so
+    each shared subtree is rewritten once instead of once per variant
+    containing it."""
+    rewrites = memo.get(node)
+    if rewrites is not None:
+        return rewrites
+    found: List[Tree] = []
+    for rule in rules:
+        result = rule.apply(node)
+        if result is not None and result != node:
+            found.append(result)
+    for position, child in enumerate(node.children):
+        for rewritten_child in _one_step(child, rules, memo):
+            children = list(node.children)
+            children[position] = rewritten_child
+            found.append(Tree(node.kind, operator=node.operator,
+                              children=tuple(children),
+                              value=node.value, symbol=node.symbol,
+                              index=node.index))
+    rewrites = memo[node] = tuple(found)
+    return rewrites
 
 
 def _enumerate_variants(tree: Tree, rules: Sequence[RewriteRule],
                         limit: int) -> List[Tree]:
-    # One-step rewrites per distinct subtree, for this enumeration only:
-    # variants share most of their subtrees, so each shared subtree is
-    # rewritten once instead of once per variant containing it.
     memo: Dict[Tree, Tuple[Tree, ...]] = {}
-
-    def one_step(node: Tree) -> Tuple[Tree, ...]:
-        """Every tree obtainable by one rule firing at one position of
-        ``node``: the rules at the root in rule order, then each child's
-        rewrites in child order."""
-        rewrites = memo.get(node)
-        if rewrites is not None:
-            return rewrites
-        found: List[Tree] = []
-        for rule in rules:
-            result = rule.apply(node)
-            if result is not None and result != node:
-                found.append(result)
-        for position, child in enumerate(node.children):
-            for rewritten_child in one_step(child):
-                children = list(node.children)
-                children[position] = rewritten_child
-                found.append(Tree(node.kind, operator=node.operator,
-                                  children=tuple(children),
-                                  value=node.value, symbol=node.symbol,
-                                  index=node.index))
-        rewrites = memo[node] = tuple(found)
-        return rewrites
-
     seen = {tree}
     frontier = [tree]
     variants = [tree]
     while frontier and len(variants) < limit:
         next_frontier: List[Tree] = []
         for current in frontier:
-            for candidate in one_step(current):
+            for candidate in _one_step(current, rules, memo):
                 if candidate in seen:
                     continue
                 seen.add(candidate)

@@ -16,7 +16,8 @@ address-generation units (auto-increment / auto-decrement) exploit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, MutableMapping, Optional, Tuple
+from typing import (Dict, Iterable, List, Mapping, MutableMapping, Optional,
+                    Set, Tuple)
 
 from repro.ir.fixedpoint import FixedPointContext
 from repro.ir.ops import Op, OpKind, op as lookup_op
@@ -177,19 +178,10 @@ class DataFlowGraph:
 
     def reachable_from_outputs(self) -> List[int]:
         """Node ids reachable from any output, in topological order."""
-        seen: Dict[int, bool] = {}
+        seen: Set[int] = set()
         order: List[int] = []
-
-        def visit(ident: int) -> None:
-            if ident in seen:
-                return
-            seen[ident] = True
-            for operand in self._nodes[ident].operands:
-                visit(operand)
-            order.append(ident)
-
         for output in self.outputs:
-            visit(output.node)
+            _postorder(self._nodes, output.node, seen, order)
         return order
 
     def dump(self) -> str:
@@ -228,6 +220,17 @@ class DataFlowGraph:
                    for output in self.outputs]
         for output, value in pending:
             _write(env, output.symbol, output.index, induction_value, value)
+
+
+def _postorder(nodes: List[Node], ident: int, seen: Set[int],
+               order: List[int]) -> None:
+    """Append ``ident``'s unseen operands, then ``ident``, to ``order``."""
+    if ident in seen:
+        return
+    seen.add(ident)
+    for operand in nodes[ident].operands:
+        _postorder(nodes, operand, seen, order)
+    order.append(ident)
 
 
 def _read(env: Mapping[str, object], symbol: str,

@@ -29,12 +29,13 @@ from repro.ir.trees import WIDE_PREFIX, Tree, tree_caching_enabled
 # Range analysis is a pure function of (tree, word width); the rewrite
 # guards of repro.ir.algebraic call it for every candidate rewrite, so
 # with interned trees a per-width memo turns the repeated interval
-# walks into dictionary hits.
+# walks into dictionary hits.  Its keys are interned trees, so it lives
+# for one intern-table generation (see repro.ir.trees.INTERN_LIMIT).
 _RANGE_CACHE: "dict" = {}
 
 
 def clear_range_cache() -> None:
-    """Drop the memoized intervals (used by the caching toggle)."""
+    """Drop the memoized intervals (with the intern table)."""
     _RANGE_CACHE.clear()
 
 
@@ -54,10 +55,13 @@ class Interval:
         return other.lo <= self.lo and self.hi <= other.hi
 
     def clamp(self, other: "Interval") -> "Interval":
-        """Intersection with ``other`` (degenerate if disjoint)."""
-        return Interval(max(self.lo, other.lo), min(self.hi, other.hi)) \
-            if not (self.hi < other.lo or self.lo > other.hi) \
-            else Interval(other.lo, other.lo)
+        """Every value of this interval saturated into ``other``: the
+        intersection, or ``other``'s nearer end when they are disjoint."""
+        if self.lo > other.hi:
+            return Interval(other.hi, other.hi)
+        if self.hi < other.lo:
+            return Interval(other.lo, other.lo)
+        return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
 
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"

@@ -18,6 +18,11 @@ variant deduplication of :mod:`repro.ir.algebraic` and the range memo
 of :mod:`repro.ir.ranges` all key on trees and inherit the O(1)
 lookups.  :func:`set_tree_caching` switches the whole layer off for
 before/after benchmarking (``benchmarks/bench_compile_speed.py``).
+
+The table and those memos live for one *generation*: an insert past
+:data:`INTERN_LIMIT` first drops them all (:func:`clear_tree_caches`).
+Older trees stay valid and compare with newer equal ones by structure,
+as with caching off.
 """
 
 from __future__ import annotations
@@ -35,6 +40,12 @@ TEMP_PREFIX = "$t"
 WIDE_PREFIX = "$wide"
 
 _CACHING = True
+
+#: Interned trees per generation.  A Table 1 or tune process interns at
+#: most ~1.7k trees and never reaches it; a campaign adds ~860 trees per
+#: novel program, so it flips about once every 35 programs.
+INTERN_LIMIT = 30_000
+_FLIPS = 0
 
 
 def set_tree_caching(enabled: bool) -> bool:
@@ -56,7 +67,10 @@ def tree_caching_enabled() -> bool:
 
 
 def clear_tree_caches() -> None:
-    """Drop the intern table and the dependent memo tables."""
+    """Drop the intern table and the memos keyed by its trees: a new
+    generation starts."""
+    global _FLIPS
+    _FLIPS += 1
     Tree._intern.clear()
     from repro.ir import algebraic, ranges
     algebraic.clear_variant_cache()
@@ -66,6 +80,12 @@ def clear_tree_caches() -> None:
 def intern_table_size() -> int:
     """Number of distinct trees currently interned (for diagnostics)."""
     return len(Tree._intern)
+
+
+def tree_cache_info() -> dict:
+    """``{"size", "flips"}``: trees interned now, and generations
+    dropped so far (at the limit or by :func:`clear_tree_caches`)."""
+    return {"size": len(Tree._intern), "flips": _FLIPS}
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -116,6 +136,8 @@ class Tree:
         initialize(self, "index", index)
         if _CACHING:
             initialize(self, "_hash", hash(key))
+            if len(cls._intern) >= INTERN_LIMIT:
+                clear_tree_caches()
             cls._intern[key] = self
         else:
             initialize(self, "_hash", None)
@@ -302,35 +324,40 @@ def decompose(dfg: DataFlowGraph,
         temp_names[ident] = f"{TEMP_PREFIX}{counter}"
         counter += 1
 
-    def build(ident: int, *, as_root: bool) -> Tree:
-        node = dfg.node(ident)
-        if node.kind is OpKind.CONST:
-            return Tree.const(node.value)
-        if node.kind is OpKind.REF:
-            return Tree.ref(node.symbol, node.index)
-        if not as_root and ident in temp_names:
-            return Tree.ref(temp_names[ident])
-        children = tuple(build(oid, as_root=False)
-                         for oid in node.operands)
-        return Tree(OpKind.COMPUTE, operator=node.operator,
-                    children=children)
-
     assignments: List[TreeAssignment] = []
     for ident in order:
         if ident in temp_names:
             assignments.append(TreeAssignment(
                 symbol=temp_names[ident], index=None,
-                tree=_strip_wraps(build(ident, as_root=True)),
+                tree=_strip_wraps(_build(dfg, ident, temp_names,
+                                         as_root=True)),
                 is_temp=True))
     output_trees = [
         TreeAssignment(symbol=output.symbol, index=output.index,
-                       tree=_strip_wraps(build(output.node,
-                                               as_root=False)),
+                       tree=_strip_wraps(_build(dfg, output.node,
+                                                temp_names,
+                                                as_root=False)),
                        is_temp=False)
         for output in dfg.outputs
     ]
     captures, output_trees = _capture_war_hazards(output_trees, counter)
     return captures + assignments + output_trees
+
+
+def _build(dfg: DataFlowGraph, ident: int, temp_names: Dict[int, str],
+           *, as_root: bool) -> Tree:
+    """The tree of a DFG node, with cut nodes below the root read back
+    from their temporaries."""
+    node = dfg.node(ident)
+    if node.kind is OpKind.CONST:
+        return Tree.const(node.value)
+    if node.kind is OpKind.REF:
+        return Tree.ref(node.symbol, node.index)
+    if not as_root and ident in temp_names:
+        return Tree.ref(temp_names[ident])
+    children = tuple(_build(dfg, oid, temp_names, as_root=False)
+                     for oid in node.operands)
+    return Tree(OpKind.COMPUTE, operator=node.operator, children=children)
 
 
 def _leaf_may_alias(leaf: Tree, symbol: str,
@@ -361,37 +388,43 @@ def _capture_war_hazards(outputs: List[TreeAssignment],
     capture_names: Dict[Tree, str] = {}
     written: List[TreeAssignment] = []
     protected: List[TreeAssignment] = []
-
-    def protect(tree: Tree) -> Tree:
-        nonlocal counter
-        if tree.kind is OpKind.REF:
-            hazard = any(
-                _leaf_may_alias(tree, earlier.symbol, earlier.index)
-                for earlier in written)
-            if not hazard:
-                return tree
-            if tree not in capture_names:
-                name = f"{TEMP_PREFIX}{counter}"
-                counter += 1
-                capture_names[tree] = name
-                captures.append(TreeAssignment(
-                    symbol=name, index=None, tree=tree, is_temp=True))
-            return Tree.ref(capture_names[tree])
-        if not tree.children:
-            return tree
-        children = tuple(protect(child) for child in tree.children)
-        if children == tree.children:
-            return tree
-        return Tree(tree.kind, operator=tree.operator, children=children,
-                    value=tree.value, symbol=tree.symbol,
-                    index=tree.index)
-
     for assignment in outputs:
         protected.append(TreeAssignment(
             symbol=assignment.symbol, index=assignment.index,
-            tree=protect(assignment.tree), is_temp=False))
+            tree=_protect(assignment.tree, written, captures,
+                          capture_names, counter),
+            is_temp=False))
         written.append(assignment)
     return captures, protected
+
+
+def _protect(tree: Tree, written: List[TreeAssignment],
+             captures: List[TreeAssignment], capture_names: Dict[Tree, str],
+             counter: int) -> Tree:
+    """``tree`` with every leaf that may alias a ``written`` destination
+    read from its capture temporary; new captures are appended to
+    ``captures`` and numbered from ``counter``."""
+    if tree.kind is OpKind.REF:
+        hazard = any(
+            _leaf_may_alias(tree, earlier.symbol, earlier.index)
+            for earlier in written)
+        if not hazard:
+            return tree
+        if tree not in capture_names:
+            name = f"{TEMP_PREFIX}{counter + len(captures)}"
+            capture_names[tree] = name
+            captures.append(TreeAssignment(
+                symbol=name, index=None, tree=tree, is_temp=True))
+        return Tree.ref(capture_names[tree])
+    if not tree.children:
+        return tree
+    children = tuple(_protect(child, written, captures, capture_names,
+                              counter)
+                     for child in tree.children)
+    if children == tree.children:
+        return tree
+    return Tree(tree.kind, operator=tree.operator, children=children,
+                value=tree.value, symbol=tree.symbol, index=tree.index)
 
 
 def _strip_wraps(tree: Tree) -> Tree:

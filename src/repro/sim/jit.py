@@ -100,17 +100,16 @@ class BlockEmitter:
         """Append one source line at the current indentation."""
         self.lines.append((self._indent, source))
 
-    def indented(self):
-        """Context manager: one level deeper (for ``for``/``if`` bodies)."""
-        ctx = self
+    def indented(self) -> "BlockEmitter":
+        """Context manager: one level deeper (for ``for``/``if`` bodies).
+        The emitter is its own manager, so a block costs no object."""
+        return self
 
-        class _Indent:
-            def __enter__(self):
-                ctx._indent += 1
+    def __enter__(self) -> None:
+        self._indent += 1
 
-            def __exit__(self, *exc):
-                ctx._indent -= 1
-        return _Indent()
+    def __exit__(self, *exc) -> None:
+        self._indent -= 1
 
     def tmp(self) -> str:
         """A fresh temporary local name."""

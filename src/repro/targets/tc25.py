@@ -96,6 +96,29 @@ def _dmov_guard(tree: Tree) -> bool:
             and dst.index.offset == src.index.offset + 1)
 
 
+def _place_hoisted(nodes: List) -> List:
+    """Insert the pre/post instructions that loop optimization hoisted
+    out of each loop around that loop."""
+    from repro.codegen.structure import LoopNode, Run
+
+    placed: List = []
+    for node in nodes:
+        if isinstance(node, LoopNode):
+            node.body = _place_hoisted(node.body)
+            pre = (getattr(node, "promoted_prologue", [])
+                   + getattr(node, "mac_prologue", []))
+            post = (getattr(node, "mac_epilogue", [])
+                    + getattr(node, "promoted_epilogue", []))
+            if pre:
+                placed.append(Run(items=list(pre)))
+            placed.append(node)
+            if post:
+                placed.append(Run(items=list(post)))
+        else:
+            placed.append(node)
+    return placed
+
+
 class TC25(TargetModel):
     """TI TMS320C25-flavoured accumulator DSP (see module docstring)."""
 
@@ -1087,8 +1110,7 @@ class TC25(TargetModel):
         kernel.  The real MAC streams its program-memory operand in
         storage order, which is why only forward walks qualify.
         """
-        from repro.codegen.structure import (LoopNode, Run, flatten,
-                                             iter_loops, parse)
+        from repro.codegen.structure import flatten, iter_loops, parse
 
         nodes = parse(code)
         tables: List = []
@@ -1111,26 +1133,7 @@ class TC25(TargetModel):
                 if table is not None:
                     tables.append(table)
 
-        def place(node_list):
-            """Insert hoisted pre/post instructions around their loops."""
-            placed = []
-            for node in node_list:
-                if isinstance(node, LoopNode):
-                    node.body = place(node.body)
-                    pre = (getattr(node, "promoted_prologue", [])
-                           + getattr(node, "mac_prologue", []))
-                    post = (getattr(node, "mac_epilogue", [])
-                            + getattr(node, "promoted_epilogue", []))
-                    if pre:
-                        placed.append(Run(items=list(pre)))
-                    placed.append(node)
-                    if post:
-                        placed.append(Run(items=list(post)))
-                else:
-                    placed.append(node)
-            return placed
-
-        return flatten(place(nodes)), tables
+        return flatten(_place_hoisted(nodes)), tables
 
     @staticmethod
     def _body_instrs(loop) -> Optional[List[AsmInstr]]:

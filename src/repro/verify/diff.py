@@ -143,14 +143,14 @@ def _make_compiler(name: str, target, options=None):
 class VerifySession:
     """Compilers and oracles pooled across ``check_program`` calls.
 
-    Rebuilding a compiler for every program is pure overhead in a fuzz
-    loop: a fresh compiler starts with a cold BURS label cache.  A
-    session keeps one per matrix column alive (over the process's
-    pooled target models, see :func:`make_target`), so consecutive
-    programs reuse the memoized grammar, the matcher pool and the label
-    cache -- exactly the warm-compiler behaviour of
-    :mod:`repro.evalx.farm` workers, which keep one session per process
-    for the lifetime of the pool.
+    A session keeps one compiler per matrix column alive (over the
+    process's pooled target models, see :func:`make_target`), so
+    consecutive programs reuse the memoized grammar and its rule plans
+    -- exactly the warm-compiler behaviour of :mod:`repro.evalx.farm`
+    workers, which keep one session per process for the lifetime of
+    the pool.  Nothing per program is kept: label states live for one
+    selection, and the tree-keyed memos for one intern-table generation
+    (:data:`repro.ir.trees.INTERN_LIMIT`), so the session stays flat.
 
     Pooling is transparent: all pooled objects are either immutable
     configuration or caches whose hits are byte-identical to a cold

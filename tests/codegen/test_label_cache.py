@@ -1,11 +1,11 @@
 """The caching fast path is transparent: covers, code and costs are
 identical with every cache layer on or off.
 
-Three layers are crossed here -- tree interning (``repro.ir.trees``),
-the persistent BURS label cache (``repro.codegen.burg``) and the
-compiler-level matcher pool (``repro.codegen.pipeline``) -- against
-every DSPStone kernel on every shipped target, the ASIP included (its
-grammar is the TC25 one rebuilt according to the ASIP parameters).
+Two layers are crossed here -- tree interning (``repro.ir.trees``) and
+the BURS label cache (``repro.codegen.burg``), shared by every variant
+of a program's trees -- against every DSPStone kernel on every shipped
+target, the ASIP included (its grammar is the TC25 one rebuilt
+according to the ASIP parameters).
 """
 
 import pytest
@@ -90,7 +90,7 @@ def test_label_cache_hit_rate_exceeds_half():
     """Across the DSPStone suite with algebraic selection on, more than
     half of all subtree labelings are answered by the cache (the
     variants of one tree overlap heavily in subtrees)."""
-    compiler = RecordCompiler(TC25())    # pooled matcher, default opts
+    compiler = RecordCompiler(TC25())    # a matcher per program
     hits = misses = 0
     for spec in all_kernels():
         stats = compiler.compile(spec.program).stats["selection"]

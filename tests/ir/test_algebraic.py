@@ -158,49 +158,50 @@ def test_rules_have_unique_names():
 
 
 # ----------------------------------------------------------------------
-# Variant-memo LRU bound (long fuzz runs must not grow memory forever)
+# The variant memo lives for one intern-table generation
 # ----------------------------------------------------------------------
 
-def test_variant_cache_is_lru_bounded():
-    from repro.ir import algebraic
-    from repro.ir.trees import tree_caching_enabled
+def test_variant_memo_is_dropped_with_the_intern_table(monkeypatch):
+    """A flip at the intern limit drops the memo with the table; the
+    dropped entries count as evictions."""
+    from repro.ir import algebraic, trees
 
-    if not tree_caching_enabled():
+    if not trees.tree_caching_enabled():
         pytest.skip("tree caching disabled; the memo is inert")
-    algebraic.clear_variant_cache()
-    previous = algebraic.set_variant_cache_limit(8)
-    try:
-        trees = [Tree.compute("add", Tree.ref("a"), Tree.const(value))
-                 for value in range(20)]
-        for tree in trees:
-            enumerate_variants(tree)
+    trees.clear_tree_caches()
+    enumerate_variants(Tree.compute("add", Tree.ref("a"), Tree.ref("b")))
+    before = algebraic.variant_cache_info()
+    assert before["size"] == 1
+    monkeypatch.setattr(trees, "INTERN_LIMIT", trees.intern_table_size())
+    flips = trees.tree_cache_info()["flips"]
+    Tree.ref("a fresh leaf")
+    assert trees.tree_cache_info()["flips"] == flips + 1
+    assert trees.intern_table_size() == 1
+    after = algebraic.variant_cache_info()
+    assert after == {"size": 0, "evictions": before["evictions"] + 1}
+
+
+def test_variant_misses_count_across_flips(monkeypatch):
+    """``size + evictions`` counts every memo miss, also across flips:
+    the e2e benchmark's ``ir.variant_hit_ratio`` reads misses so."""
+    from repro.ir import algebraic, trees
+
+    if not trees.tree_caching_enabled():
+        pytest.skip("tree caching disabled; the memo is inert")
+
+    def misses() -> int:
         info = algebraic.variant_cache_info()
-        assert info["size"] <= 8
-        assert info["limit"] == 8
-        assert info["evictions"] >= 12
-        # LRU, not FIFO: a hit protects its entry from eviction.  After
-        # 20 inserts the memo holds trees[12..19]; hitting the *oldest*
-        # resident moves it to the young end, so the 7 inserts below
-        # evict trees[13..19] and leave it cached.
-        survivor = trees[12]
-        assert enumerate_variants(survivor)            # refresh
-        for tree in (Tree.compute("mul", Tree.ref("b"), Tree.const(v))
-                     for v in range(7)):
-            enumerate_variants(tree)                   # 7 inserts of 8
-        before = algebraic.variant_cache_info()["evictions"]
-        enumerate_variants(survivor)
-        assert algebraic.variant_cache_info()["evictions"] == before, \
-            "hitting the survivor must not have cost an enumeration"
-    finally:
-        algebraic.set_variant_cache_limit(previous)
-        algebraic.clear_variant_cache()
+        return info["size"] + info["evictions"]
 
-
-def test_variant_cache_limit_validation_and_shrink():
-    from repro.ir import algebraic
-
-    with pytest.raises(ValueError):
-        algebraic.set_variant_cache_limit(0)
-    previous = algebraic.set_variant_cache_limit(
-        algebraic.variant_cache_info()["limit"])
-    assert previous >= 1
+    trees.clear_tree_caches()
+    monkeypatch.setattr(trees, "INTERN_LIMIT", 50)
+    flips, before = trees.tree_cache_info()["flips"], misses()
+    sources = [Tree.compute("sub", Tree.ref("a"),
+                            Tree.compute("mul", Tree.ref("b"),
+                                         Tree.const(value)))
+               for value in range(20)]
+    for tree in sources:
+        first = enumerate_variants(tree)             # a miss
+        assert enumerate_variants(tree) == first     # a hit
+    assert trees.tree_cache_info()["flips"] > flips
+    assert misses() - before == len(sources)

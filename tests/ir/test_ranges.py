@@ -102,6 +102,19 @@ def test_word_port_operand_wraps_to_any_word_value():
     assert interval == word_interval(FPC)
 
 
+def test_sat_of_a_value_outside_the_word_is_the_nearer_end():
+    """A value wholly above the word saturates to its top, one wholly
+    below to its bottom: ``sat(25 * 1312)`` is 32767, not -32768."""
+    product = Tree.compute(
+        "mul", Tree.compute("mul", Tree.const(5), Tree.const(5)),
+        Tree.compute("mul", Tree.const(32), Tree.const(41)))
+    for value, expected in ((product, FPC.max_value),
+                            (Tree.compute("neg", product), FPC.min_value)):
+        tree = Tree.compute("sat", value)
+        assert tree.evaluate({}, FPC) == expected
+        assert tree_range(tree, FPC) == Interval(expected, expected)
+
+
 def leaf_values():
     return st.integers(min_value=FPC.min_value, max_value=FPC.max_value)
 
