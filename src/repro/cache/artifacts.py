@@ -11,17 +11,23 @@ path; they differ only in their codec (:data:`_CODECS`):
 - **sources** -- the simulator JIT's generated Python;
 - **records** -- the tuner's canonical-JSON measurements.
 
-Every key is a :func:`content_key`: the SHA-256 of canonical JSON of
-the key's ingredients plus the repository code-version stamp
-(:mod:`repro.cache.version`).
+Every key is the SHA-256 of its ingredients plus the repository
+code-version stamp (:mod:`repro.cache.version`): for an artifact, a
+:func:`content_key` over canonical JSON; for a record,
+:func:`repro.tune.measure.record_keys`, which serializes the
+options-free half once per tune cell; for a source,
+:func:`repro.sim.jit.source_key`.
 
 The store is one SQLite database, ``<root>/store.db``, with one row
 per entry: ``(kind, key) -> blob, size, atime``.  It runs in WAL mode
 with ``synchronous=NORMAL``: a commit is not flushed to disk, so a
 power loss can drop the last commits, but it never corrupts the
-database.  WAL coordinates processes through shared memory, so the
-root must be on a local filesystem.  ``sqlite3`` is imported only when
-the first connection opens.
+database.  A new database switches to WAL with sync off (see
+:func:`_connect`): a crash then leaves an empty or unreadable file,
+which the next open replaces by an empty store.  WAL coordinates
+processes through shared memory, so the root must be on a local
+filesystem.  ``sqlite3`` is imported only when the first connection
+opens.
 
 Design constraints, in order:
 
@@ -99,7 +105,7 @@ def content_key(ingredients: Callable[[], object],
                 on_error: Optional[Callable[[Exception], None]] = None
                 ) -> Optional[str]:
     """SHA-256 of canonical JSON of ``ingredients()`` plus the code
-    version: the one key recipe of every store entry.
+    version: the key recipe of every artifact.
 
     ``None`` when building or serializing the ingredients fails --
     key derivation must never break the work it memoizes; uncacheable
@@ -215,7 +221,7 @@ class CacheStats:
     #: bound sorts by ``atime``, so touched (hot) entries outlive cold
     #: ones even when they were written first.
     touches: int = 0
-    #: Inputs with no key (:func:`content_key` returned ``None``):
+    #: Inputs with no key (a key recipe could not serialize them):
     #: they bypass the store entirely.
     uncacheable: int = 0
     #: Database files SQLite could not read, replaced by an empty store.
@@ -512,11 +518,21 @@ class ArtifactCache:
 
 
 def _connect(path: Path):
-    """Open ``path`` in WAL mode, creating the schema if it is new."""
+    """Open ``path`` in WAL mode, creating the schema if it is new.
+
+    Switching a new database to WAL writes its header, which with sync
+    on costs an fsync (about 0.1 s on a 2-vCPU VM, against 0.2 ms
+    without).  So the switch runs with ``synchronous = OFF``; a crash
+    during it leaves an empty or unreadable file, which
+    :meth:`ArtifactCache._open` replaces.  ``NORMAL`` is back on before
+    the schema transaction, so every commit is as durable as the module
+    docstring says.
+    """
     import sqlite3
     db = sqlite3.connect(path, timeout=_BUSY_TIMEOUT_S,
                          isolation_level=None, check_same_thread=False)
     try:
+        db.execute("PRAGMA synchronous = OFF")
         _enter_wal(db)
         db.execute("PRAGMA synchronous = NORMAL")
         if _schema_version(db) == 0:

@@ -156,6 +156,11 @@ class SelectionMemo:
     selection key selects and later ones finish a replayed copy.  The
     memo is keyed by the selection fields alone: hand it to compilers
     of one program and one target only.
+
+    The memo's compilers are a tune cell's candidates
+    (:class:`repro.tune.measure.TuneCell`), so they bypass the artifact
+    cache: the cell stores one measurement record per candidate
+    instead, and a warm re-tune replays those records.
     """
 
     def __init__(self) -> None:
@@ -210,7 +215,13 @@ class RecordCompiler:
         returns the stored :class:`CompiledProgram` (its ``stats`` then
         carry an ``"artifact_cache": "hit"`` marker); otherwise -- and
         always when no cache is active -- the full pipeline runs.
+
+        A compiler with a :class:`SelectionMemo` is one candidate of a
+        tune cell, whose measurement record is its cache: it never
+        reads or writes the artifact cache.
         """
+        if self._memo is not None:
+            return self._compile_uncached(program)
         from repro.cache import cached_compile
         return cached_compile(self, program, self._compile_uncached)
 

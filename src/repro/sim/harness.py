@@ -8,7 +8,6 @@ coefficient tables, executes, and reads every program symbol back.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.codegen.asm import AsmInstr
@@ -148,31 +147,31 @@ def cycles_of(compiled: CompiledProgram,
 def _item_identity(item) -> object:
     if isinstance(item, AsmInstr):
         return (item.opcode, item.operands, item.words, item.cycles,
-                sorted(item.modes.items()),
-                [_item_identity(move) for move in item.parallel])
+                tuple(sorted(item.modes.items())),
+                tuple(_item_identity(move) for move in item.parallel))
     return item
 
 
-def simulation_digest(compiled: CompiledProgram, sim: str) -> str:
-    """SHA-256 of everything the ``sim`` tier reads from ``compiled``.
+def simulation_identity(compiled: CompiledProgram, sim: str) -> Tuple:
+    """Everything the ``sim`` tier reads from ``compiled``, as a
+    hashable tuple.
 
-    Programs with equal digests simulate identically on every input:
-    the digest covers each code item (an instruction's opcode, operands,
-    words, cycles, modes and packed parallel moves; labels), the memory
-    map's addresses and sizes, the program-memory tables, which symbols
-    are arrays, the target and the tier.  It leaves out what no
-    simulator reads: the program and compiler names, comments and
-    stats.
+    Programs with equal identities simulate identically on every input:
+    the identity covers each code item (an instruction's opcode,
+    operands, words, cycles, modes and packed parallel moves; labels),
+    the memory map's addresses and sizes, the program-memory tables,
+    which symbols are arrays, the target and the tier.  It leaves out
+    what no simulator reads: the program and compiler names, comments
+    and stats.  Values compare by ``==``; nothing persists the tuple,
+    so it is a dictionary key of one process only.
     """
     memory_map = compiled.memory_map
-    payload = (
+    return (
         compiled.target.name, sim,
-        [_item_identity(item) for item in compiled.code],
-        list(memory_map.addresses.items()),
-        list(memory_map.sizes.items()),
-        compiled.pmem_tables,
-        sorted(name for name, symbol in compiled.symbols.items()
-               if symbol.is_array),
+        tuple(_item_identity(item) for item in compiled.code),
+        tuple(memory_map.addresses.items()),
+        tuple(memory_map.sizes.items()),
+        tuple(compiled.pmem_tables),
+        tuple(sorted(name for name, symbol in compiled.symbols.items()
+                     if symbol.is_array)),
     )
-    return hashlib.sha256(repr(payload).encode()).hexdigest()
-

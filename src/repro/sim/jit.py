@@ -502,7 +502,7 @@ def _generate(target: "TargetModel", decoded: DecodedProgram,
     helpers: Dict[str, str] = {}
     counts = {"blocks_emitted": 0, "blocks_closure": 0,
               "inline_steps": 0, "closure_steps": 0,
-              "loop_blocks": 0}
+              "loop_blocks": 0, "loop_fusions_failed": 0}
     functions: List[str] = []
 
     for number, block in enumerate(decoded.blocks):
@@ -558,7 +558,8 @@ def _generate(target: "TargetModel", decoded: DecodedProgram,
                                   "runaway loop?\")")
                 loop_ctx.line(f"return {block.next!r}, budget")
             except Exception:
-                pass    # keep the plain single-pass block below
+                # Keep the plain single-pass block below, and count it.
+                counts["loop_fusions_failed"] += 1
             else:
                 functions.append(_assemble(
                     number, loop_ctx, "state, budget, max_steps"))
@@ -703,6 +704,7 @@ _GENERATION = 0
 _STATS = {"hits": 0, "misses": 0, "fallbacks": 0,
           "blocks_emitted": 0, "blocks_closure": 0,
           "inline_steps": 0, "closure_steps": 0, "loop_blocks": 0,
+          "loop_fusions_failed": 0,
           "source_cache_hits": 0, "source_cache_misses": 0,
           "module_hits": 0, "module_misses": 0}
 

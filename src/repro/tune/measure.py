@@ -2,8 +2,9 @@
 
 A *measurement* is ``(program, target, options, input sets, sim
 tier)``.  Measuring it means compiling the program with exactly those
-options (through the ordinary artifact-cached compile path), running
-every input set on the requested simulator tier (the jit tier by
+options (without the artifact cache: the measurement record is the
+candidate's cache, see :class:`~repro.codegen.pipeline.SelectionMemo`),
+running every input set on the requested simulator tier (the jit tier by
 default -- real cycles, not the static predictor), and comparing the
 simulated outputs against the independent IR-level oracle
 (:mod:`repro.verify.oracle`).  The result is a plain
@@ -29,10 +30,12 @@ The cell shares what those candidates have in common:
 - one BURS matcher per metric serves every candidate, since label
   states depend only on grammar, metric and subtree;
 - the oracle reference is computed once, and each distinct compiled
-  program (by :func:`~repro.sim.harness.simulation_digest`) is
+  program (by :func:`~repro.sim.harness.simulation_identity`) is
   simulated and oracle-checked once: a later candidate with the same
-  digest takes its cycles, verdict and error, with its own options and
-  words.
+  identity takes its cycles, verdict and error, with its own options
+  and words;
+- the record key's options-free half (:func:`record_keys`) is
+  serialized once, and each candidate hashes it with its options.
 
 The tuner builds one cell per :func:`~repro.tune.search.tune_program`
 call and a farm :class:`~repro.evalx.farm.MeasureJob` one per job; a
@@ -51,6 +54,8 @@ replay only; a result reused inside a cell is a fresh measurement.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -116,6 +121,37 @@ class Measurement:
         )
 
 
+def record_keys(program, target_name: str,
+                input_sets: Sequence[Mapping[str, object]],
+                sim: str = "jit") -> Callable[[RecordOptions], str]:
+    """The measurement-key recipe, options-free half serialized once.
+
+    That half is canonical JSON of the record format, the program in
+    corpus spec form, the target, the input environments, the simulator
+    tier and the code-version stamp.  The returned function appends the
+    options, through the canonical :func:`~repro.cache.options_payload`
+    normalization, and hashes the result (SHA-256).  A JSON object ends
+    where its closing brace does, so no two ingredient sets share a
+    payload.  Raises when an ingredient does not serialize.
+    """
+    from repro.cache import code_version, options_payload
+    from repro.verify.corpus import program_to_spec
+    head = json.dumps({
+        "format": RECORD_FORMAT,
+        "kind": "measurement",
+        "program": program_to_spec(program),
+        "target": target_name,
+        "inputs": list(input_sets),
+        "sim": sim,
+        "code": code_version(),
+    }, sort_keys=True) + "\n"
+
+    def key(options: RecordOptions) -> str:
+        payload = head + json.dumps(options_payload(options), sort_keys=True)
+        return hashlib.sha256(payload.encode()).hexdigest()
+    return key
+
+
 def measurement_key(program, target_name: str, options: RecordOptions,
                     input_sets: Sequence[Mapping[str, object]],
                     sim: str = "jit",
@@ -123,23 +159,16 @@ def measurement_key(program, target_name: str, options: RecordOptions,
                     ) -> Optional[str]:
     """Content key of one measurement (``None``: uncacheable).
 
-    The :func:`repro.cache.content_key` recipe over the program in
-    corpus spec form, the options through the canonical
-    :func:`~repro.cache.options_payload` normalization, the input
-    environments and the simulator tier.  ``on_error`` hears why a
-    measurement has no key.
+    The :func:`record_keys` recipe, under which a :class:`TuneCell`
+    stores its records.  ``on_error`` hears why a measurement has no
+    key.
     """
-    from repro.cache import content_key, options_payload
-    from repro.verify.corpus import program_to_spec
-    return content_key(lambda: {
-        "format": RECORD_FORMAT,
-        "kind": "measurement",
-        "program": program_to_spec(program),
-        "target": target_name,
-        "options": options_payload(options),
-        "inputs": list(input_sets),
-        "sim": sim,
-    }, on_error=on_error)
+    try:
+        return record_keys(program, target_name, input_sets, sim)(options)
+    except Exception as exc:                           # noqa: BLE001
+        if on_error is not None:
+            on_error(exc)
+        return None
 
 
 def clear_measure_pools() -> None:
@@ -170,8 +199,9 @@ class _Run:
 
 class TuneCell:
     """One program, target, input batch and tier, measured under many
-    options; shares their selections, matchers, oracle reference and
-    simulations (see the module docstring).
+    options; shares their selections, matchers, oracle reference,
+    simulations and record-key serialization (see the module
+    docstring).
 
     Hold a cell only as long as the candidates it measures: it keeps
     every selection, matcher and simulation result of the cell.
@@ -188,7 +218,23 @@ class TuneCell:
         self.target = _resolve_target(target_name)
         self.selections = SelectionMemo()
         self._expected: Optional[List[Dict[str, object]]] = None
-        self._runs: Dict[str, _Run] = {}
+        self._runs: Dict[Tuple, _Run] = {}
+        self._keys: Optional[Callable[[RecordOptions], str]] = None
+
+    def record_key(self, options: RecordOptions,
+                   on_error: Optional[Callable[[Exception], None]] = None
+                   ) -> Optional[str]:
+        """:func:`measurement_key` of one candidate, from the options-free
+        half this cell serialized on its first call."""
+        try:
+            if self._keys is None:
+                self._keys = record_keys(self.program, self.target_name,
+                                         self.input_sets, self.sim)
+            return self._keys(options)
+        except Exception as exc:                       # noqa: BLE001
+            if on_error is not None:
+                on_error(exc)
+            return None
 
     def measure(self, options: RecordOptions) -> Measurement:
         """Compile + simulate + oracle-check one candidate (no record
@@ -205,11 +251,11 @@ class TuneCell:
             return measurement
         measurement.words = compiled.words()
 
-        from repro.sim.harness import simulation_digest
-        digest = simulation_digest(compiled, self.sim)
-        run = self._runs.get(digest)
+        from repro.sim.harness import simulation_identity
+        identity = simulation_identity(compiled, self.sim)
+        run = self._runs.get(identity)
         if run is None:
-            run = self._runs[digest] = self._simulate(compiled)
+            run = self._runs[identity] = self._simulate(compiled)
         measurement.cycles = list(run.cycles)
         measurement.total_cycles = sum(run.cycles)
         measurement.correct = run.correct
@@ -272,9 +318,7 @@ def measure_cell(program, target_name: str, options: RecordOptions,
     cache = active_cache()
     key = None
     if cache is not None:
-        key = measurement_key(program, target_name, options,
-                              input_sets, sim,
-                              on_error=cache.note_uncacheable)
+        key = cell.record_key(options, on_error=cache.note_uncacheable)
         if key is not None:
             record = cache.get_record(key)
             if record is not None \

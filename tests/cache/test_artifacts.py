@@ -252,6 +252,26 @@ def test_unreadable_database_is_replaced_by_an_empty_store(cache, caplog):
     assert root_files(cache) <= STORE_FILES
 
 
+def _durability(cache):
+    """``(journal_mode, synchronous)`` of ``cache``'s own connection."""
+    return cache._run(lambda db: (
+        db.execute("PRAGMA journal_mode").fetchone()[0],
+        db.execute("PRAGMA synchronous").fetchone()[0]))
+
+
+def test_new_and_reopened_stores_commit_in_wal_with_sync_normal(cache):
+    """A new store switches to WAL with sync off; every commit after
+    that, in this connection or a later one, runs with NORMAL (1)."""
+    assert cache.put_record("ab" + "8" * 62, {"cycles": [1]})
+    assert _durability(cache) == ("wal", 1)
+    cache.close()
+    assert _durability(cache) == ("wal", 1)
+    other = ArtifactCache(cache.root)
+    assert _durability(other) == ("wal", 1)
+    assert other.get_record("ab" + "8" * 62) == {"cycles": [1]}
+    other.close()
+
+
 def test_unwritable_root_does_not_crash(tmp_path):
     target_file = tmp_path / "not-a-directory"
     target_file.write_text("occupied")

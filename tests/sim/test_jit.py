@@ -115,6 +115,43 @@ def test_self_loop_blocks_are_fused():
     assert jit_cache_stats()["loop_blocks"] >= 1
 
 
+class SecondAddkFailsTC25(TC25):
+    """ADDK's template raises on its second call only: the block's
+    first walk emits, the self-loop fusion's re-walk fails."""
+
+    def __init__(self):
+        super().__init__()
+        self.name = "tc25-second-addk-fails"
+        self.addk_calls = 0
+
+    @emitter("ADDK")
+    def _emit_addk_once(self, instr, ctx):
+        self.addk_calls += 1
+        if self.addk_calls == 2:
+            raise RuntimeError("deliberately broken re-walk")
+        return self._emit_add_sub_imm(instr, ctx)
+
+
+def test_failed_loop_fusion_is_counted_and_runs_single_pass():
+    code = CodeSeq([
+        ins("ZAC"),
+        ins("LARK", Reg("AR7"), Imm(9)),
+        Label("L"),
+        ins("ADDK", Imm(3)),
+        ins("BANZ", LabelRef("L"), Reg("AR7"), cycles=2),
+        ins("SACL", direct(0)),
+    ])
+    target = SecondAddkFailsTC25()
+    state = assert_tiers_identical(target, code)
+    assert state.mem[0] == 30
+    assert target.addk_calls == 2
+    stats = jit_cache_stats()
+    assert stats["loop_fusions_failed"] == 1
+    assert stats["loop_blocks"] == 0        # the loop block runs unfused
+    assert stats["blocks_closure"] == 0     # and stays specialized
+    assert stats["fallbacks"] == 0
+
+
 # ----------------------------------------------------------------------
 # Degradation chain: template missing/declining -> inline call to the
 # bound @semantics handler; template broken -> whole block demoted to

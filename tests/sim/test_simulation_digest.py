@@ -1,9 +1,11 @@
-"""``simulation_digest`` changes with every simulator input, and only then.
+"""``simulation_identity`` changes with every simulator input, and only then.
 
 A tune cell simulates each distinct compiled program once and lets a
-later candidate with the same digest reuse the result, so the digest
-must cover everything a simulator tier reads.  Each case below changes
-one input of an otherwise identical compiled program; a digest of the
+later candidate with the same identity reuse the result, so the
+identity must cover everything a simulator tier reads.  It is a
+hashable tuple (the cell's dictionary key); the test names still say
+*digest*, after the SHA-256 it replaced.  Each case below changes one
+input of an otherwise identical compiled program; a digest of the
 rendered listing would miss the cycles, modes and bank changes, which
 the last test shows.
 """
@@ -18,7 +20,7 @@ from repro.codegen.asm import AsmInstr, CodeSeq, Label, Mem
 from repro.codegen.compiled import MemoryMap
 from repro.codegen.pipeline import RecordCompiler
 from repro.dspstone import kernel
-from repro.sim.harness import simulation_digest
+from repro.sim.harness import simulation_identity
 
 
 def _compiled(name: str, target: str):
@@ -146,27 +148,28 @@ NON_INPUT_CHANGES = {
 def test_digest_changes_with_each_simulator_input(change):
     program, edit = INPUT_CHANGES[change]
     compiled = PROGRAMS[program]
-    assert simulation_digest(edit(compiled), "jit") \
-        != simulation_digest(compiled, "jit")
+    assert simulation_identity(edit(compiled), "jit") \
+        != simulation_identity(compiled, "jit")
 
 
 def test_digest_changes_with_the_tier():
     compiled = PROGRAMS["fir/tc25"]
-    assert simulation_digest(compiled, "jit") \
-        != simulation_digest(compiled, "fast")
+    assert simulation_identity(compiled, "jit") \
+        != simulation_identity(compiled, "fast")
 
 
 @pytest.mark.parametrize("change", sorted(NON_INPUT_CHANGES))
 def test_digest_ignores_what_no_simulator_reads(change):
     program, edit = NON_INPUT_CHANGES[change]
     compiled = PROGRAMS[program]
-    assert simulation_digest(edit(compiled), "jit") \
-        == simulation_digest(compiled, "jit")
+    runs = {simulation_identity(compiled, "jit"): "run"}
+    assert runs.get(simulation_identity(edit(compiled), "jit")) == "run"
 
 
 def test_equal_recompiles_share_a_digest():
-    assert simulation_digest(_compiled("fir", "m56"), "jit") \
-        == simulation_digest(PROGRAMS["fir/m56"], "jit")
+    runs = {simulation_identity(PROGRAMS["fir/m56"], "jit"): "run"}
+    assert runs.get(simulation_identity(_compiled("fir", "m56"),
+                                        "jit")) == "run"
 
 
 @pytest.mark.parametrize("change", ["cycles", "modes", "operand bank"])
