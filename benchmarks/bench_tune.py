@@ -19,7 +19,8 @@ make a tuning table trustworthy:
 
 Results land in ``BENCH_TUNE.json`` at the repository root.
 
-Run:  python benchmarks/bench_tune.py             (full, ~10 min)
+Run:  python benchmarks/bench_tune.py             (full, ~4 s on a
+      2-vCPU VM)
 or :  python benchmarks/bench_tune.py --quick     (CI smoke; uses
       ``.repro-cache/`` so GitHub's actions/cache can persist warmth
       across CI runs)

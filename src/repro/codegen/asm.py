@@ -186,6 +186,25 @@ class LoopEnd:
 CodeItem = Union[AsmInstr, Label, LoopBegin, LoopEnd]
 
 
+def item_identity(item: CodeItem, comments: bool = False) -> object:
+    """A hashable stand-in for ``item``: an instruction becomes the
+    tuple of its opcode, operands, words, cycles, sorted modes and its
+    packed moves' identities, plus its comment when ``comments`` is
+    true; labels and loop markers stand for themselves.
+
+    Two items have equal identities exactly when they are equal
+    (leaving comments out when ``comments`` is false).  Values compare
+    by ``==``, so an identity keys dictionaries of one process only.
+    """
+    if not isinstance(item, AsmInstr):
+        return item
+    identity = (item.opcode, item.operands, item.words, item.cycles,
+                tuple(sorted(item.modes.items())),
+                tuple(item_identity(move, comments)
+                      for move in item.parallel))
+    return identity + (item.comment,) if comments else identity
+
+
 # ----------------------------------------------------------------------
 # Code sequences
 # ----------------------------------------------------------------------

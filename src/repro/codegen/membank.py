@@ -104,6 +104,8 @@ def annealed_assignment(weights: Mapping[Pair, int],
         return assignment
     best = dict(assignment)
     best_value = current_value = cut_value(weights, assignment)
+    if best_value == sum(weights.values()):
+        return best     # every pair is cut: no flip can beat it
     temperature = start_temperature
     cooling = 0.995
     other = {banks[0]: banks[1], banks[1]: banks[0]}

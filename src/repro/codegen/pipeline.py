@@ -20,7 +20,11 @@ ablation benchmarks can quantify each design choice separately.
 Selection reads only the options named in :data:`SELECTION_FIELDS`;
 :meth:`RecordCompiler.select` runs it and :meth:`RecordCompiler.finish`
 runs every later stage, so compiles that agree on those fields can
-share one selection (:class:`SelectionMemo`).
+share one selection (:class:`SelectionMemo`).  The *tail* -- address
+assignment, compaction, mode minimization and loop finalization
+(:meth:`RecordCompiler.tail`) -- reads the post-peephole code and only
+the options in :data:`TAIL_FIELDS`, so the same memo also runs it once
+per distinct (code, tail key).
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from typing import Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.codegen.addressing import AddressAssigner
 from repro.codegen.burg import BurgMatcher
-from repro.codegen.asm import AsmInstr, CodeSeq, Label, LoopBegin, LoopEnd, Mem
+from repro.codegen.asm import AsmInstr, CodeSeq, Label, LoopBegin, LoopEnd, \
+    Mem, item_identity
 from repro.codegen.compiled import (
     CompiledProgram, MemoryMap, PmemTable, build_memory_map,
 )
@@ -113,6 +118,11 @@ class RecordOptions:
         keys select identical code for a program on a target."""
         return tuple(getattr(self, name) for name in SELECTION_FIELDS)
 
+    def tail_key(self) -> Tuple:
+        """The values of :data:`TAIL_FIELDS`: options with equal keys
+        finish equal post-peephole code identically."""
+        return tuple(getattr(self, name) for name in TAIL_FIELDS)
+
 
 #: The :class:`RecordOptions` fields instruction selection reads: the
 #: metric and the matcher's label cache, and the algebraic-variant
@@ -122,6 +132,18 @@ class RecordOptions:
 #: and holds the selected code byte-identical, so this declaration
 #: cannot drift from :meth:`RecordCompiler.select`.
 SELECTION_FIELDS = ("metric", "algebraic", "variant_limit", "label_cache")
+
+#: The fields only loop optimization and peephole read, the stages
+#: between selection and the tail.  ``tests/codegen/test_tail_key.py``
+#: changes each of these and each selection field and holds the tail's
+#: output byte-identical for fixed post-peephole code.
+PRE_TAIL_FIELDS = ("promote_accumulators", "repeat_idioms",
+                   "fuse_shift_idioms", "peephole")
+
+#: The fields the tail may read: every field not declared above, so a
+#: field added later is in the tail key until it is declared.
+TAIL_FIELDS = tuple(spec.name for spec in fields(RecordOptions)
+                    if spec.name not in SELECTION_FIELDS + PRE_TAIL_FIELDS)
 
 
 @dataclass
@@ -146,7 +168,8 @@ class Selection:
 
 
 class SelectionMemo:
-    """Selection work shared by the compilers of one program on one target.
+    """Selection and tail work shared by the compilers of one program on
+    one target.
 
     Label states depend only on the grammar, the metric and the
     subtree, so one matcher per metric serves every compiler the memo is
@@ -154,8 +177,14 @@ class SelectionMemo:
     memo labels each selection with a matcher of its own).  Selection
     reads only :data:`SELECTION_FIELDS`, so the first compile of each
     selection key selects and later ones finish a replayed copy.  The
-    memo is keyed by the selection fields alone: hand it to compilers
-    of one program and one target only.
+    tail reads only the post-peephole code and :data:`TAIL_FIELDS`, so
+    it runs once per distinct pair of the two: the code keyed item for
+    item by :func:`~repro.codegen.asm.item_identity` with comments, the
+    options by :meth:`RecordOptions.tail_key`.  A repeat takes a copy
+    of the stored code and shares the stored memory map, which nothing
+    writes after addressing builds it.  Neither key names the program
+    or the target: hand the memo to compilers of one program and one
+    target only.
 
     The memo's compilers are a tune cell's candidates
     (:class:`repro.tune.measure.TuneCell`), so they bypass the artifact
@@ -166,6 +195,7 @@ class SelectionMemo:
     def __init__(self) -> None:
         self.matchers: Dict[str, BurgMatcher] = {}
         self._selections: Dict[Tuple, Selection] = {}
+        self._tails: Dict[Tuple, Tuple[CodeSeq, MemoryMap]] = {}
 
     def matcher(self, grammar, metric: str) -> BurgMatcher:
         """The memo's labeller for ``metric``."""
@@ -185,6 +215,21 @@ class SelectionMemo:
         selection = compiler.select(program)
         self._selections[key] = selection
         return selection.copy()
+
+    def tail(self, compiler: "RecordCompiler", program: Program,
+             code: CodeSeq, timings: Dict[str, float]
+             ) -> Tuple[CodeSeq, MemoryMap]:
+        """``compiler``'s :meth:`~RecordCompiler.tail` of ``code``, run
+        at most once per (code, tail key); a repeat reports 0.0 s for
+        each tail stage."""
+        key = (tuple(item_identity(item, comments=True) for item in code),
+               compiler.options.tail_key())
+        done = self._tails.get(key)
+        if done is None:
+            done = self._tails[key] = compiler.tail(program, code, timings)
+        else:
+            timings.update(addressing=0.0, modes=0.0, finalize=0.0)
+        return done[0].copy(), done[1]
 
 
 class CompileError(Exception):
@@ -255,7 +300,8 @@ class RecordCompiler:
     def finish(self, program: Program,
                selection: Selection) -> CompiledProgram:
         """The stages after selection, on ``selection``'s code (which
-        they may edit)."""
+        they may edit): loop optimization and peephole, then the tail,
+        through the memo's when the compiler has one."""
         options = self.options
         timings: Dict[str, float] = {"selection": selection.seconds}
         code = selection.code
@@ -274,6 +320,38 @@ class RecordCompiler:
             code = self.target.peephole(code)
         timings["peephole"] = perf_counter() - started
 
+        if self._memo is None:
+            code, memory_map = self.tail(program, code, timings)
+        else:
+            code, memory_map = self._memo.tail(self, program, code,
+                                               timings)
+
+        # Sub-stage detail measured inside selection:
+        timings["variants"] = selection.stats.variant_seconds
+        timings["labeling"] = selection.stats.label_seconds
+
+        return CompiledProgram(
+            name=program.name,
+            target=self.target,
+            code=code,
+            memory_map=memory_map,
+            symbols=dict(program.symbols),
+            pmem_tables=list(tables),
+            compiler=self.name,
+            stats={
+                "selection": selection.stats,
+                "words": code.words(),
+                "timings": timings,
+            },
+        )
+
+    def tail(self, program: Program, code: CodeSeq,
+             timings: Dict[str, float]) -> Tuple[CodeSeq, MemoryMap]:
+        """Address assignment, compaction, mode minimization and loop
+        finalization of post-peephole ``code`` (which they may edit);
+        reads only the :data:`TAIL_FIELDS` of the options and records
+        each stage's seconds in ``timings``."""
+        options = self.options
         started = perf_counter()
         extra_scalars = collect_extra_scalars(code, program)
         address_hook = getattr(self.target, "assign_addresses", None)
@@ -303,25 +381,7 @@ class RecordCompiler:
         started = perf_counter()
         code = finalize_loops(code, self.target)
         timings["finalize"] = perf_counter() - started
-
-        # Sub-stage detail measured inside selection:
-        timings["variants"] = selection.stats.variant_seconds
-        timings["labeling"] = selection.stats.label_seconds
-
-        return CompiledProgram(
-            name=program.name,
-            target=self.target,
-            code=code,
-            memory_map=memory_map,
-            symbols=dict(program.symbols),
-            pmem_tables=list(tables),
-            compiler=self.name,
-            stats={
-                "selection": selection.stats,
-                "words": code.words(),
-                "timings": timings,
-            },
-        )
+        return code, memory_map
 
     # ------------------------------------------------------------------
 

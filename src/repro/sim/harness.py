@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.codegen.asm import AsmInstr
+from repro.codegen.asm import item_identity
 from repro.codegen.compiled import CompiledProgram
 from repro.ir.fixedpoint import FixedPointContext
 from repro.sim.fastmachine import FastMachine
@@ -144,21 +144,13 @@ def cycles_of(compiled: CompiledProgram,
     return state.cycles
 
 
-def _item_identity(item) -> object:
-    if isinstance(item, AsmInstr):
-        return (item.opcode, item.operands, item.words, item.cycles,
-                tuple(sorted(item.modes.items())),
-                tuple(_item_identity(move) for move in item.parallel))
-    return item
-
-
 def simulation_identity(compiled: CompiledProgram, sim: str) -> Tuple:
     """Everything the ``sim`` tier reads from ``compiled``, as a
     hashable tuple.
 
     Programs with equal identities simulate identically on every input:
-    the identity covers each code item (an instruction's opcode,
-    operands, words, cycles, modes and packed parallel moves; labels),
+    the identity covers each code item (its
+    :func:`~repro.codegen.asm.item_identity` without the comment),
     the memory map's addresses and sizes, the program-memory tables,
     which symbols are arrays, the target and the tier.  It leaves out
     what no simulator reads: the program and compiler names, comments
@@ -168,7 +160,7 @@ def simulation_identity(compiled: CompiledProgram, sim: str) -> Tuple:
     memory_map = compiled.memory_map
     return (
         compiled.target.name, sim,
-        tuple(_item_identity(item) for item in compiled.code),
+        tuple(item_identity(item) for item in compiled.code),
         tuple(memory_map.addresses.items()),
         tuple(memory_map.sizes.items()),
         tuple(compiled.pmem_tables),

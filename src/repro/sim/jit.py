@@ -58,7 +58,37 @@ if TYPE_CHECKING:   # pragma: no cover
 
 #: bump when the generated-source layout changes (invalidates the
 #: persistent source cache alongside the code-version stamp).
-SOURCE_FORMAT = 3
+SOURCE_FORMAT = 4
+
+
+# The run-time errors generated code raises, each the reference
+# simulator's error for the same fault.  Every module's namespace is
+# seeded with them (:data:`_RAISERS`), so no module defines a function
+# of its own that its namespace would hold in a reference cycle.
+
+def _oob(address):
+    raise SimulationError(f"data address {address} out of range")
+
+
+def _unknown_label(label):
+    raise SimulationError(f"branch to unknown label {label!r}")
+
+
+def _no_table(name):
+    raise SimulationError(f"program-memory table {name!r} not loaded")
+
+
+def _mac_oob(name, index):
+    raise SimulationError(
+        f"MAC read past end of table {name!r} (index {index})")
+
+
+def _no_do():
+    raise SimulationError("LOOPEND without DO")
+
+
+_RAISERS = {raiser.__name__: raiser for raiser in (
+    _oob, _unknown_label, _no_table, _mac_oob, _no_do)}
 
 
 class BlockEmitter:
@@ -76,7 +106,6 @@ class BlockEmitter:
         self.labels = labels
         self.lines: List[Tuple[int, str]] = []
         self.prelude: List[str] = []
-        self.helpers: Dict[str, str] = {}
         self.uses_regs = False
         self.uses_mem = False
         self.uses_modes = False
@@ -116,10 +145,6 @@ class BlockEmitter:
         name = f"_t{self._tmp}"
         self._tmp += 1
         return name
-
-    def helper(self, name: str, source: str) -> None:
-        """Register a module-level helper (deduplicated by name)."""
-        self.helpers.setdefault(name, source)
 
     # -- wrap arithmetic ---------------------------------------------------
 
@@ -262,10 +287,6 @@ class BlockEmitter:
         error."""
         entry = self._tables.get(name)
         if entry is None:
-            self.helper("_no_table", (
-                "def _no_table(n):\n"
-                "    raise SimulationError(\n"
-                "        f\"program-memory table {n!r} not loaded\")"))
             table = f"_tb{len(self._tables)}"
             length = f"_tn{len(self._tables)}"
             self.prelude.append(
@@ -361,12 +382,6 @@ class _BlockFallback(Exception):
 _MODULE_HEADER = (
     "# generated by repro.sim.jit (format %d) -- do not edit\n"
     "from repro.sim.machine import SimulationError\n"
-    "\n"
-    "def _oob(a):\n"
-    "    raise SimulationError(f\"data address {a} out of range\")\n"
-    "\n"
-    "def _unknown_label(l):\n"
-    "    raise SimulationError(f\"branch to unknown label {l!r}\")\n"
 )
 
 
@@ -499,7 +514,6 @@ def _generate(target: "TargetModel", decoded: DecodedProgram,
     pre_slots: List[int] = []
     closure_blocks: List[int] = []
     loop_blocks: List[int] = []
-    helpers: Dict[str, str] = {}
     counts = {"blocks_emitted": 0, "blocks_closure": 0,
               "inline_steps": 0, "closure_steps": 0,
               "loop_blocks": 0, "loop_fusions_failed": 0}
@@ -563,7 +577,6 @@ def _generate(target: "TargetModel", decoded: DecodedProgram,
             else:
                 functions.append(_assemble(
                     number, loop_ctx, "state, budget, max_steps"))
-                helpers.update(loop_ctx.helpers)
                 loop_blocks.append(number)
                 counts["loop_blocks"] += 1
                 counts["blocks_emitted"] += 1
@@ -603,7 +616,6 @@ def _generate(target: "TargetModel", decoded: DecodedProgram,
             ctx.line(f"return {next_expr}")
 
         functions.append(_assemble(number, ctx))
-        helpers.update(ctx.helpers)
         step_slots.extend(block_step_slots)
         pre_slots.extend(block_pre_slots)
         counts["blocks_emitted"] += 1
@@ -611,7 +623,6 @@ def _generate(target: "TargetModel", decoded: DecodedProgram,
         counts["closure_steps"] += closure_steps
 
     parts = [_MODULE_HEADER % SOURCE_FORMAT]
-    parts.extend(helpers.values())
     parts.append(f"_LBL = {dict(sorted(labels.items()))!r}")
     parts.append(f"_ENTRY = {decoded.entry!r}")
     parts.append(f"_NBLOCKS = {len(decoded.blocks)}")
@@ -656,8 +667,13 @@ def _load(source: str, target: "TargetModel",
           decoded: DecodedProgram, memsize: int) -> JitProgram:
     """Exec generated source and re-inject the run-time pieces the
     source cannot carry: bound closures for fallback slots and decoded
-    closure runners for degraded blocks."""
-    namespace: Dict[str, object] = {}
+    closure runners for degraded blocks.
+
+    Each block function's globals are the namespace, so it is taken out
+    of the namespace once collected: the namespace then holds no
+    function that refers back to it, and refcounting frees a dropped
+    translation without the cyclic collector."""
+    namespace: Dict[str, object] = dict(_RAISERS)
     exec(_module_code(source), namespace)
     if namespace.get("_MEMSIZE") != memsize \
             or namespace.get("_NBLOCKS") != len(decoded.blocks):
@@ -679,7 +695,7 @@ def _load(source: str, target: "TargetModel",
             fns.append(_closure_block(decoded, number))
             loop_fns.append(None)
         else:
-            fn = namespace[f"_b{number}"]
+            fn = namespace.pop(f"_b{number}")
             fns.append(fn)
             loop_fns.append(fn if number in loops else None)
     for key, value in namespace["_COUNTS"].items():

@@ -970,9 +970,6 @@ class M56(TargetModel):
         if instr.parallel:
             return False
         label = instr.operands[0].name
-        ctx.helper("_no_do", (
-            "def _no_do():\n"
-            "    raise SimulationError(\"LOOPEND without DO\")"))
         taken = ctx.tmp()
         ctx.line("_ls = state.loop_stack")
         ctx.line("if not _ls:")

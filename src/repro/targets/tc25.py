@@ -966,11 +966,6 @@ class TC25(TargetModel):
         table = instr.operands[0].name
         operand = instr.operands[1]
         tbl, tbl_len = ctx.pmem_table(table)
-        ctx.helper("_mac_oob", (
-            "def _mac_oob(n, i):\n"
-            "    raise SimulationError(\n"
-            "        f\"MAC read past end of table {n!r} "
-            "(index {i})\")"))
         addr = ctx.mem_addr(operand)
         if instr.opcode == "MACD":
             data = self._emit_delay_store(ctx, operand, addr)

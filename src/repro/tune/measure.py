@@ -26,7 +26,13 @@ The cell shares what those candidates have in common:
 
 - selection runs once per selection key
   (:data:`~repro.codegen.pipeline.SELECTION_FIELDS`), and each
-  candidate finishes the later stages on a copy of the selected code;
+  candidate runs loop optimization and peephole on a copy of the
+  selected code;
+- the tail -- addressing, compaction, mode minimization and loop
+  finalization -- runs once per distinct post-peephole code and tail
+  key (:data:`~repro.codegen.pipeline.TAIL_FIELDS`): a later candidate
+  with the same pair takes a copy of the finished code and the same
+  memory map;
 - one BURS matcher per metric serves every candidate, since label
   states depend only on grammar, metric and subtree;
 - the oracle reference is computed once, and each distinct compiled
@@ -199,12 +205,13 @@ class _Run:
 
 class TuneCell:
     """One program, target, input batch and tier, measured under many
-    options; shares their selections, matchers, oracle reference,
-    simulations and record-key serialization (see the module
-    docstring).
+    options; shares their selections, matchers, tails, oracle
+    reference, simulations and record-key serialization (see the
+    module docstring).
 
     Hold a cell only as long as the candidates it measures: it keeps
-    every selection, matcher and simulation result of the cell.
+    every selection, matcher, finished tail and simulation result of
+    the cell.
     """
 
     def __init__(self, program, target_name: str,

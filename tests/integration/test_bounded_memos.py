@@ -136,12 +136,14 @@ def test_a_session_stays_within_the_limit(monkeypatch):
 
 
 def test_check_program_leaves_no_class_or_helper_cycles():
-    """Compiling and simulating a new program leaves no class object and
-    no nested function in cyclic garbage: each would hold a reference
+    """Compiling and simulating a new program leaves no class object, no
+    function and no dict in cyclic garbage: each would hold a reference
     cycle (and whatever it captured) until the collector runs.  The jit
     once built a context-manager class per indented block, and the
     variant enumerator, decomposition, loop finalization and mode
-    hoisting each defined a self-recursive closure per call."""
+    hoisting each defined a self-recursive closure per call.  Each
+    translated module's namespace held its block functions and error
+    helpers, whose globals are that namespace."""
     check_program(*_case(9, 0, ProgenConfig()))     # first-use imports
     program, inputs = _case(9, 1, ProgenConfig())
     clear_decode_cache()           # the jit translates this program anew
@@ -160,8 +162,8 @@ def test_check_program_leaves_no_class_or_helper_cycles():
             gc.enable()
     assert not [obj for obj in garbage if isinstance(obj, type)]
     assert not [obj.__qualname__ for obj in garbage
-                if isinstance(obj, types.FunctionType)
-                and "<locals>" in obj.__qualname__]
+                if isinstance(obj, types.FunctionType)]
+    assert not [sorted(obj)[:8] for obj in garbage if isinstance(obj, dict)]
 
 
 _RSS_SCRIPT = """
