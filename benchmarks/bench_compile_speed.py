@@ -161,7 +161,7 @@ def run_cached_parallel(jobs: List[CompileJob]
                         ) -> Tuple[float, List[Result], int]:
     workers = default_workers()
     started = perf_counter()
-    results = run_many(jobs, parallel=True)
+    results = run_many(jobs)
     wall = perf_counter() - started
     return wall, results, workers
 

@@ -22,12 +22,12 @@ _CELLS = (("record", "tc25"), ("baseline", "tc25"), ("hand", "tc25"),
           ("record", "m56"), ("record", "risc16"))
 
 
-def build_everything(parallel=None):
+def build_everything():
     specs = list(all_kernels())
     jobs = [CompileJob(kernel=spec.name, compiler=compiler, target=target)
             for spec in specs
             for compiler, target in _CELLS]
-    results = run_many(jobs, parallel=parallel)
+    results = run_many(jobs)
     by_name = {spec.name: spec for spec in specs}
     compiled = []
     for result in results:

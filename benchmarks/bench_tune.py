@@ -19,8 +19,8 @@ make a tuning table trustworthy:
 
 Results land in ``BENCH_TUNE.json`` at the repository root.
 
-Run:  python benchmarks/bench_tune.py             (full, ~4 s on a
-      2-vCPU VM)
+Run:  python benchmarks/bench_tune.py             (full, ~2 s on a
+      2-vCPU VM; every cell is tuned in this process)
 or :  python benchmarks/bench_tune.py --quick     (CI smoke; uses
       ``.repro-cache/`` so GitHub's actions/cache can persist warmth
       across CI runs)
@@ -102,16 +102,15 @@ def _row(outcome: TuneOutcome) -> Dict[str, object]:
     }
 
 
-def _tune_all(cells, config: TuneConfig, cache_dir: Path,
-              jobs: Optional[int]) -> Tuple[List[TuneOutcome], float]:
+def _tune_all(cells, config: TuneConfig,
+              cache_dir: Path) -> Tuple[List[TuneOutcome], float]:
     repro.cache.configure(cache_dir)
     try:
         started = perf_counter()
         outcomes = []
         for program, target in cells:
             outcomes.append(tune_program(program, target=target,
-                                         config=config, jobs=jobs,
-                                         seed=SEED))
+                                         config=config, seed=SEED))
         wall = perf_counter() - started
     finally:
         repro.cache.configure(None)
@@ -152,8 +151,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--budget", type=int, default=None,
                         help="evaluation budget per cell "
                              f"(default {BUDGET}, quick {QUICK_BUDGET})")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="farm workers (default: auto)")
     parser.add_argument("--cache-dir", type=Path, default=None,
                         help="persistent measurement cache for "
                              "--quick (default .repro-cache/); full "
@@ -181,14 +178,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     try:
         try:
-            cold, cold_wall = _tune_all(cells, config, cache_dir,
-                                        args.jobs)
+            cold, cold_wall = _tune_all(cells, config, cache_dir)
         except TuneError as exc:
             print(f"FAIL: {exc}", file=sys.stderr)
             return 1
         print(f"  cold pass: {cold_wall:.1f}s")
-        warm, warm_wall = _tune_all(cells, config, cache_dir,
-                                    args.jobs)
+        warm, warm_wall = _tune_all(cells, config, cache_dir)
         print(f"  warm pass: {warm_wall:.1f}s")
     finally:
         for path in scratch:

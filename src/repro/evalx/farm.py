@@ -1,12 +1,11 @@
-"""A job farm: many compile, conformance, shard or measurement jobs, one call.
+"""A job farm: many compile, conformance or shard jobs, one call.
 
 Every evaluation harness in this repository compiles the same closed
-set of DSPStone kernels against the same closed set of targets --
-Table 1, the timing bench, the retargeting matrix, the full report --
-and the conformance fuzzer, the campaign engine and the autotuner run
-generated programs through the same compiler x target x simulator
-matrix.  This module gives them one shared engine built on one job
-protocol:
+set of DSPStone kernels against the same closed set of targets -- the
+timing bench, the compile-speed bench, the compile service -- and the
+conformance fuzzer and the campaign engine run generated programs
+through the same compiler x target x simulator matrix.  This module
+gives them one shared engine built on one job protocol:
 
 - a job is a frozen, picklable dataclass whose fields are its wire
   format -- registry names, canonical JSON strings, corpus spec dicts
@@ -30,6 +29,12 @@ protocol:
   jobs exactly as they do in a long-lived serial session -- and the
   persistent artifact cache (:mod:`repro.cache`), when configured, is
   shared by every worker.
+
+A pool pays only for jobs much longer than its start-up (8-9 ms at 2
+workers and 20-23 ms at 8 on a 2-vCPU VM): a program through the
+whole conformance matrix (about 65 ms) is one, a DSPStone compile (a
+few ms) is not.  So the tuner and Table 1, which compile one kernel at a
+time, run in the calling process and send nothing here.
 
 Parallelism degrades gracefully: on a single-core container, when the
 pool cannot start or dies mid-run, or for a singleton job list, the
@@ -62,18 +67,17 @@ class CompileJob:
     """Compile one program, picklable by construction.
 
     ``kernel``, ``compiler`` and ``target`` are registry names (see
-    :func:`repro.api.available_kernels` / ``available_targets``);
-    ``options`` is the compiler's frozen options dataclass or ``None``
-    for defaults.  ``fresh`` bypasses the worker's compiler pool -- the
-    job then compiles with a cold compiler instance (used as the
-    uncached baseline by ``benchmarks/bench_compile_speed.py``).
+    :func:`repro.api.available_kernels` / ``available_targets``); the
+    compiler runs with its default options.  ``fresh`` bypasses the
+    worker's compiler pool -- the job then compiles with a cold compiler
+    instance (used as the uncached baseline by
+    ``benchmarks/bench_compile_speed.py``).
     The payload is the :class:`~repro.codegen.compiled.CompiledProgram`.
     """
 
     kernel: str
     compiler: str = "record"
     target: str = "tc25"
-    options: object = None
     fresh: bool = False
     #: Canonical serialized program (``json.dumps(program_to_spec(p),
     #: sort_keys=True)``).  When set, the worker compiles *this*
@@ -89,8 +93,7 @@ class CompileJob:
         compile, so they are never deduped."""
         if self.fresh:
             return None
-        return (self.kernel, self.compiler, self.target, repr(self.options),
-                self.program_spec)
+        return (self.kernel, self.compiler, self.target, self.program_spec)
 
     def run(self):
         """Compile on the worker's pooled compiler (a cold one for
@@ -106,8 +109,7 @@ class CompileJob:
         else:
             from repro.dspstone import kernel
             program = kernel(self.kernel).program
-        return session.compiler(self.compiler, self.target,
-                                self.options).compile(program)
+        return session.compiler(self.compiler, self.target).compile(program)
 
 
 @dataclass(frozen=True)
@@ -201,50 +203,6 @@ class ShardJob:
         }
 
 
-@dataclass(frozen=True)
-class MeasureJob:
-    """Autotuner measurements of one selection-key group, picklable by
-    construction.
-
-    Every ingredient travels as a *canonical JSON string* (sorted
-    keys), not a dict, so the job is its own content key and two jobs
-    measuring the same candidates compare equal.  ``program_spec`` is
-    the corpus form of the program, ``options_group`` the
-    :meth:`RecordOptions.to_dict` blobs of candidates that share one
-    :meth:`~repro.codegen.pipeline.RecordOptions.selection_key`,
-    ``inputs_json`` the list of input environments to accumulate cycles
-    over, ``sim`` the simulator tier to measure with.  The job measures
-    its group through one :class:`~repro.tune.measure.TuneCell`, so the
-    group selects once.  The payload is the list of
-    :class:`~repro.tune.measure.Measurement` objects, in group order; a
-    *compile* failure of a candidate is not an error but a measurement
-    with an ``error`` field, so the tuner can disqualify it and go on.
-    """
-
-    program_spec: str
-    target: str = "tc25"
-    options_group: Tuple[str, ...] = ()
-    inputs_json: str = "[]"
-    sim: str = "jit"
-
-    def key(self) -> "MeasureJob":
-        """Every field is canonical: the job is its own key."""
-        return self
-
-    def run(self):
-        """Measure the group (through the persistent record cache)."""
-        from repro.codegen.pipeline import RecordOptions
-        from repro.tune.measure import TuneCell, measure_cell
-        from repro.verify.corpus import program_from_spec
-        program = program_from_spec(json.loads(self.program_spec))
-        input_sets = json.loads(self.inputs_json)
-        cell = TuneCell(program, self.target, input_sets, self.sim)
-        return [measure_cell(program, self.target,
-                             RecordOptions.from_dict(json.loads(options)),
-                             input_sets, sim=self.sim, cell=cell)
-                for options in self.options_group]
-
-
 @dataclass
 class Result:
     """Outcome of one job: its payload or a captured error."""
@@ -265,7 +223,7 @@ class Result:
 # ----------------------------------------------------------------------
 
 # One VerifySession per process: compilers (with their label caches,
-# one per (compiler, target, options)) and oracles persist across every
+# one per (compiler, target)) and oracles persist across every
 # job this process handles, over the process's pooled target models.
 _SESSION: List[object] = []
 
@@ -350,7 +308,6 @@ def default_workers() -> int:
 
 
 def run_many(jobs: Sequence,
-             parallel: Optional[bool] = None,
              max_workers: Optional[int] = None,
              executor: Optional[concurrent.futures.Executor] = None
              ) -> List[Result]:
@@ -363,10 +320,10 @@ def run_many(jobs: Sequence,
 
     Scheduling ladder: a caller-owned persistent ``executor`` (the
     long-running compile service keeps one warm across batches), else
-    a per-call process pool, else serial in-process.  ``parallel=None``
-    auto-detects a pool when there is more than one worker and more
-    than one unique job; ``parallel=True`` requests one.  Any pool
-    failure -- refusal to start, death mid-run -- is logged and the
+    a per-call process pool when there is more than one worker
+    (``max_workers``, default :func:`default_workers`) and more than
+    one unique job, else serial in-process.  Any pool failure --
+    refusal to start, death mid-run -- is logged and the
     whole list recomputed on the next rung, which is safe because jobs
     are pure functions of their fields: results are identical either
     way, only the wall clock differs.
@@ -393,8 +350,7 @@ def run_many(jobs: Sequence,
             logger.warning("farm executor failed (%s: %s); retrying "
                            "without it", type(exc).__name__, exc)
     workers = max_workers if max_workers is not None else default_workers()
-    if results is None and parallel is not False and len(unique) > 1 \
-            and workers > 1:
+    if results is None and len(unique) > 1 and workers > 1:
         try:
             with concurrent.futures.ProcessPoolExecutor(
                     max_workers=min(workers, len(unique)),

@@ -9,10 +9,8 @@ from the code.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import List
 
-from repro.codegen.pipeline import RecordCompiler, RecordOptions
 from repro.evalx.table1 import compute_table1, format_table1
 
 
@@ -20,16 +18,10 @@ def _section(title: str, body: str) -> str:
     return f"## {title}\n\n```\n{body}\n```\n"
 
 
-def table1_section(parallel=None) -> str:
-    """The headline Table 1 reproduction.
-
-    The per-cell compiles run through the compile farm
-    (:mod:`repro.evalx.farm`): a process pool on multi-core machines,
-    serial on one core -- either way the rows are identical.
-    """
+def table1_section() -> str:
+    """The headline Table 1 reproduction (one input seed per row)."""
     return _section("Table 1 — size relative to hand assembly",
-                    format_table1(compute_table1(seeds=1,
-                                                 parallel=parallel)))
+                    format_table1(compute_table1(seeds=1)))
 
 
 def overhead_section() -> str:

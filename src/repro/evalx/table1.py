@@ -90,42 +90,14 @@ def _record_options_for(spec: KernelSpec,
     return tuned if tuned is not None else record_options
 
 
-def _farm_builds(specs, record_options: Optional[RecordOptions],
-                 parallel: Optional[bool],
-                 tuning_db=None) -> Dict[str, Dict[str, object]]:
-    """Compile every (kernel, compiler) cell through the compile farm."""
-    from repro.evalx import farm
-    jobs = []
-    for spec in specs:
-        jobs.append(farm.CompileJob(kernel=spec.name, compiler="baseline"))
-        jobs.append(farm.CompileJob(
-            kernel=spec.name, compiler="record",
-            options=_record_options_for(spec, record_options,
-                                        tuning_db)))
-    results = farm.run_many(jobs, parallel=parallel)
-    built: Dict[str, Dict[str, object]] = {}
-    for result in results:
-        if not result.ok:
-            raise RuntimeError(
-                f"table 1 build failed for {result.job.kernel} "
-                f"({result.job.compiler}): [{result.error_type}] "
-                f"{result.error}")
-        built.setdefault(result.job.kernel, {})[result.job.compiler] = \
-            result.payload
-    return built
-
-
 def compute_table1(target: Optional[TC25] = None, seeds: int = 3,
                    record_options: Optional[RecordOptions] = None,
-                   parallel: Optional[bool] = None,
                    tuning_db=None) -> List[Table1Row]:
     """Build, verify and measure every Table 1 row.
 
-    With the stock target (``target=None``) the per-cell compiles run
-    through :mod:`repro.evalx.farm` (process pool on multi-core
-    machines, serial otherwise -- results are identical).  A custom
-    target instance forces the in-process path, since only registry
-    names travel to farm workers.
+    ``target`` defaults to a fresh :class:`TC25`.  Every cell compiles
+    in this process: a kernel compiles in milliseconds, less than a
+    worker pool takes to start.
 
     ``tuning_db`` (a :class:`~repro.tune.db.TuningDB` or a path to
     one) steers the record column with per-kernel autotuned options
@@ -136,26 +108,18 @@ def compute_table1(target: Optional[TC25] = None, seeds: int = 3,
     if tuning_db is not None and not hasattr(tuning_db, "options_for"):
         from repro.tune.db import TuningDB
         tuning_db = TuningDB.load(tuning_db)
-    specs = list(all_kernels())
-    built = None
     if target is None:
         target = TC25()
-        built = _farm_builds(specs, record_options, parallel,
-                             tuning_db=tuning_db)
     fpc = FixedPointContext(target.word_bits)
     rows: List[Table1Row] = []
-    for spec in specs:
+    for spec in all_kernels():
         program = spec.program
         hand = hand_reference(spec.name, target)
-        if built is not None:
-            baseline = built[spec.name]["baseline"]
-            record = built[spec.name]["record"]
-        else:
-            baseline = BaselineCompiler(target).compile(program)
-            record = RecordCompiler(
-                target,
-                _record_options_for(spec, record_options, tuning_db)
-            ).compile(program)
+        baseline = BaselineCompiler(target).compile(program)
+        record = RecordCompiler(
+            target,
+            _record_options_for(spec, record_options, tuning_db)
+        ).compile(program)
 
         verified = True
         cycles = {"hand": 0, "baseline": 0, "record": 0}

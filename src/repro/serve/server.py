@@ -134,8 +134,8 @@ class CompileService:
             max_bytes=cache_max_bytes or repro.cache.DEFAULT_MAX_BYTES)
         self.workers = workers if workers is not None else default_workers()
         self.pool = make_farm_executor(self.workers) if use_pool else None
-        farm = partial(run_many, executor=self.pool,
-                       parallel=self.pool is not None)
+        workers = self.workers if self.pool is not None else 1
+        farm = partial(run_many, executor=self.pool, max_workers=workers)
         self.compile_batcher = Batcher(farm, window=window,
                                        max_batch=max_batch)
         self.verify_batcher = Batcher(farm, window=window,

@@ -25,13 +25,3 @@ Shipped targets:
 from repro.targets.model import TargetModel, TargetCapabilities
 
 __all__ = ["TargetModel", "TargetCapabilities"]
-
-
-def all_targets():
-    """Instantiate one of each shipped target (default configurations)."""
-    from repro.targets.tc25 import TC25
-    from repro.targets.m56 import M56
-    from repro.targets.risc import Risc16
-    from repro.targets.asip import Asip
-
-    return [TC25(), M56(), Risc16(), Asip()]

@@ -17,7 +17,7 @@ binds the same handler at decode time for the fast tier.  Its
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.codegen.asm import AsmInstr, CodeSeq
 from repro.codegen.grammar import TreeGrammar
@@ -379,17 +379,3 @@ class TargetModel:
         return (f"{self.name}: {self.word_bits}-bit, "
                 f"{caps.address_registers} ARs"
                 + (", " + ", ".join(features) if features else ""))
-
-
-@dataclass(frozen=True)
-class LoopShape:
-    """How a loop was realized (for accounting and the simulator).
-
-    ``kind`` is ``"repeat"`` (hardware repeat of a single instruction),
-    ``"hardware"`` (zero-overhead loop) or ``"branch"`` (decrement and
-    branch with per-iteration overhead cycles).
-    """
-
-    kind: str
-    overhead_words: int
-    per_iteration_cycles: int

@@ -18,8 +18,9 @@ Layers (each its own module):
   measurements through a tune cell that selects once per selection
   key and simulates once per compiled program (records live in the
   persistent artifact cache);
-- :mod:`repro.tune.search`  -- the staged, budgeted, farm-parallel
-  search (screen single-knob deviations, cross the movers);
+- :mod:`repro.tune.search`  -- the staged, budgeted search (screen
+  single-knob deviations, cross the movers), run in the calling
+  process;
 - :mod:`repro.tune.db`      -- the atomic-JSON tuning database;
 - :mod:`repro.tune.tuned`   -- :class:`TunedCompiler`, a drop-in
   ``record`` compiler that applies stored per-program bests.

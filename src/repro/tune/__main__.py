@@ -5,9 +5,9 @@ Examples::
     # Tune one kernel on one target, print the win, update the DB
     python -m repro tune fir --target tc25
 
-    # The whole DSPStone suite on two targets, farm-parallel, JSON out
+    # The whole DSPStone suite on two targets, JSON out
     python -m repro tune --all-kernels --targets tc25,m56 \\
-        --budget 48 --jobs 4 --json tune.json
+        --budget 48 --json tune.json
 
     # A generated program (the conformance generator's seed space)
     python -m repro tune --progen-seed 7 --target m56
@@ -69,9 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: 2)")
     parser.add_argument("--seed", type=int, default=0,
                         help="input-generation seed (default: 0)")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="farm worker processes (default: auto; "
-                             "1 forces serial)")
     parser.add_argument("--sim", default="jit",
                         choices=("jit", "fast", "reference"),
                         help="simulator tier to measure with "
@@ -140,8 +137,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         for target in targets:
             try:
                 outcome = tune_program(program, target=target,
-                                       config=config, jobs=args.jobs,
-                                       seed=args.seed)
+                                       config=config, seed=args.seed)
             except TuneError as exc:
                 failures += 1
                 print(f"{program.name:24s} {target:8s} FAILED: {exc}",

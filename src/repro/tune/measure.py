@@ -44,9 +44,8 @@ The cell shares what those candidates have in common:
   serialized once, and each candidate hashes it with its options.
 
 The tuner builds one cell per :func:`~repro.tune.search.tune_program`
-call and a farm :class:`~repro.evalx.farm.MeasureJob` one per job; a
-bare :func:`measure_cell` call is a cell of one.  A cell lives only as
-long as its caller holds it.
+call and measures every candidate through it, in the calling process.
+A cell lives only as long as its caller holds it.
 
 Records are content-addressed in the persistent
 :class:`~repro.cache.ArtifactCache` (:meth:`get_record` /
@@ -307,20 +306,15 @@ class TuneCell:
 # The measurement itself
 # ----------------------------------------------------------------------
 
-def measure_cell(program, target_name: str, options: RecordOptions,
-                 input_sets: Sequence[Mapping[str, object]],
-                 sim: str = "jit",
-                 cell: Optional[TuneCell] = None) -> Measurement:
-    """Measure one candidate, through the persistent record cache.
+def measure_cell(cell: TuneCell, options: RecordOptions) -> Measurement:
+    """Measure one candidate of ``cell``, through the persistent record
+    cache.
 
     With an active :mod:`repro.cache`, a previously measured candidate
     is answered from its stored record (``cached=True``) without
-    compiling or simulating anything; otherwise ``cell`` (built from
-    these same arguments; a cell of its own when ``None``) measures it,
+    compiling or simulating anything; otherwise the cell measures it,
     and the record is stored for next time.
     """
-    if cell is None:
-        cell = TuneCell(program, target_name, input_sets, sim)
     from repro.cache import active_cache
     cache = active_cache()
     key = None

@@ -1,15 +1,15 @@
-"""The staged, budgeted, farm-parallel configuration search.
+"""The staged, budgeted configuration search.
 
 Stage 0 measures the default configuration (the yardstick every other
 cell is judged against).  Stage 1 *screens*: every single-knob
 deviation from the default (:func:`repro.tune.space.screening_candidates`)
-is measured, in one farm batch.  Stage 2 *focuses*: the knobs whose
-best deviation strictly improved total cycles become "movers", and the
-cross-product of their improving values (plus leave-alone) is
-enumerated deterministically and measured up to the remaining
-evaluation budget.  The budget counts unique configurations measured,
-default included -- cached record replays count too, so a re-tune
-walks the identical candidate list.
+is measured.  Stage 2 *focuses*: the knobs whose best deviation
+strictly improved total cycles become "movers", and the cross-product
+of their improving values (plus leave-alone) is enumerated
+deterministically and measured up to the remaining evaluation budget.
+The budget counts unique configurations measured, default included --
+cached record replays count too, so a re-tune walks the identical
+candidate list.
 
 Selection is deterministic and oracle-gated: candidates are ranked by
 ``(total cycles, words, canonical options JSON)``; any candidate whose
@@ -24,16 +24,15 @@ input batch and tier.  Every candidate is measured through one
 :class:`~repro.tune.measure.TuneCell` built for the call and dropped
 when it returns, so candidates that agree on the selection options
 select once, and candidates that compile to the same program simulate
-once.  The farm path sends each selection-key group as one
-:class:`~repro.evalx.farm.MeasureJob`, measured through a cell of its
-own.  Budget accounting and ranking see one measurement per candidate
-either way; :func:`measure_cell` is called once per candidate.
+once.  Every candidate is measured in the calling process by one
+:func:`measure_cell` call: a candidate takes milliseconds, less than
+starting a process pool would.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -126,68 +125,6 @@ class TuneOutcome:
 
 
 # ----------------------------------------------------------------------
-# Measurement dispatch (farm batch or serial)
-# ----------------------------------------------------------------------
-
-def _measure_batch(cell: TuneCell, candidates: Sequence[RecordOptions],
-                   jobs: Optional[int]) -> List[Measurement]:
-    """Measure a candidate batch, farm-parallel when possible.
-
-    With one worker (``jobs=1``, or ``jobs=None`` where the farm's
-    default is one), or when the program does not serialize for the
-    farm (exotic shapes), every candidate is measured in-process
-    through ``cell``.  Otherwise the batch goes to the farm as one
-    :class:`~repro.evalx.farm.MeasureJob` per selection-key group, each
-    measured through a cell of its own.  Results are identical either
-    way -- measurement is a pure function of the candidate, and the
-    shared record cache makes the two paths literally replay each
-    other.
-    """
-    candidates = list(candidates)
-    if not candidates:
-        return []
-    from repro.evalx.farm import MeasureJob, default_workers, run_many
-    workers = jobs if jobs is not None else default_workers()
-    spec_blob = None
-    if workers > 1:
-        from repro.verify.corpus import program_to_spec
-        try:
-            spec_blob = json.dumps(program_to_spec(cell.program),
-                                   sort_keys=True)
-            inputs_blob = json.dumps(list(cell.input_sets),
-                                     sort_keys=True)
-        except Exception:                              # noqa: BLE001
-            spec_blob = None
-    if spec_blob is None:
-        return [measure_cell(cell.program, cell.target_name, options,
-                             cell.input_sets, sim=cell.sim, cell=cell)
-                for options in candidates]
-
-    groups: Dict[Tuple, List[int]] = {}
-    for position, options in enumerate(candidates):
-        groups.setdefault(options.selection_key(), []).append(position)
-    measure_jobs = [
-        MeasureJob(program_spec=spec_blob, target=cell.target_name,
-                   options_group=tuple(
-                       json.dumps(candidates[position].to_dict(),
-                                  sort_keys=True)
-                       for position in positions),
-                   inputs_json=inputs_blob, sim=cell.sim)
-        for positions in groups.values()]
-    measurements: List[Optional[Measurement]] = [None] * len(candidates)
-    for positions, result in zip(groups.values(),
-                                 run_many(measure_jobs,
-                                          max_workers=workers)):
-        for index, position in enumerate(positions):
-            measurements[position] = result.payload[index] \
-                if result.ok else Measurement(
-                    target=cell.target_name,
-                    options=candidates[position].to_dict(),
-                    error=result.error, error_type=result.error_type)
-    return measurements
-
-
-# ----------------------------------------------------------------------
 # The search
 # ----------------------------------------------------------------------
 
@@ -202,15 +139,13 @@ def tune_program(program,
                      Sequence[Mapping[str, object]]] = None,
                  config: Optional[TuneConfig] = None,
                  default: Optional[RecordOptions] = None,
-                 jobs: Optional[int] = None,
                  seed: int = 0) -> TuneOutcome:
     """Search the knob space for one (program, target); see module doc.
 
     ``input_sets`` defaults to :func:`default_input_sets` (seeded,
     deterministic).  ``default`` substitutes a different base
     configuration to deviate from (the ablation benchmarks tune
-    around non-standard bases this way).  ``jobs`` sizes the farm
-    pool (``None``: the farm's default; ``1``: serial in-process).
+    around non-standard bases this way).
     """
     config = config or TuneConfig()
     default = default or RecordOptions()
@@ -232,7 +167,7 @@ def tune_program(program,
                 outcome.fresh_measurements += 1
 
     # -- stage 0: the yardstick ----------------------------------------
-    default_measurement = _measure_batch(cell, [default], jobs)[0]
+    default_measurement = measure_cell(cell, default)
     account([default_measurement])
     outcome.default = default_measurement
     if not default_measurement.ok:
@@ -244,9 +179,7 @@ def tune_program(program,
     # -- stage 1: screening --------------------------------------------
     remaining = config.budget - outcome.budget_used
     screening = screening_candidates(default, target)[:max(0, remaining)]
-    screened = _measure_batch(cell,
-                              [options for _knob, options in screening],
-                              jobs)
+    screened = [measure_cell(cell, options) for _knob, options in screening]
     account(screened)
 
     # Movers: knobs with at least one correct, strictly-improving
@@ -275,7 +208,7 @@ def tune_program(program,
                     if json.dumps(options.to_dict(), sort_keys=True)
                     not in seen]
         crossing = crossing[:remaining]
-        account(_measure_batch(cell, crossing, jobs))
+        account([measure_cell(cell, options) for options in crossing])
 
     # -- selection + oracle gate ---------------------------------------
     ranked = sorted(
@@ -361,7 +294,13 @@ def tune_kernel(name: str,
                 config: Optional[TuneConfig] = None,
                 jobs: Optional[int] = None,
                 seed: int = 0) -> TuneOutcome:
-    """Tune one DSPStone kernel by registry name."""
+    """Tune one DSPStone kernel by registry name, in this process
+    (``jobs`` may only be ``None`` or ``1``)."""
+    # ``jobs`` stays only because benchmarks/e2e/workloads.py passes
+    # jobs=1; it goes once that call stops passing it.
+    if jobs not in (None, 1):
+        raise ValueError(f"tune_kernel measures in process; jobs must be "
+                         f"None or 1, not {jobs!r}")
     from repro.dspstone import kernel
     return tune_program(kernel(name).program, target=target,
-                        config=config, jobs=jobs, seed=seed)
+                        config=config, seed=seed)

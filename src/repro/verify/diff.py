@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.baseline.compiler import BaselineCompiler
-from repro.codegen.pipeline import CompileError, RecordCompiler
+from repro.codegen.pipeline import RecordCompiler
 from repro.ir.fixedpoint import FixedPointContext, Overflow
 from repro.ir.program import Program
 from repro.sim.harness import run_many
@@ -132,11 +132,11 @@ def compilers_for(target_name: str) -> Tuple[str, ...]:
     return ("record",)
 
 
-def _make_compiler(name: str, target, options=None):
+def _make_compiler(name: str, target):
     if name == "record":
-        return RecordCompiler(target, options)
+        return RecordCompiler(target)
     if name == "baseline":
-        return BaselineCompiler(target, options)
+        return BaselineCompiler(target)
     raise ValueError(f"unknown compiler {name!r}")
 
 
@@ -160,22 +160,21 @@ class VerifySession:
     """
 
     def __init__(self):
-        self._compilers: Dict[Tuple[str, str, str], object] = {}
+        self._compilers: Dict[Tuple[str, str], object] = {}
         self._oracles: Dict[int, Oracle] = {}
 
     def target(self, name: str):
         """The pooled target model for ``name``."""
         return make_target(name)
 
-    def compiler(self, compiler_name: str, target_name: str,
-                 options=None):
-        """The pooled compiler instance for a matrix column (one per
-        ``repr(options)``; ``None`` means the compiler's defaults)."""
-        key = (compiler_name, target_name, repr(options))
+    def compiler(self, compiler_name: str, target_name: str):
+        """The pooled compiler instance for a matrix column (default
+        options)."""
+        key = (compiler_name, target_name)
         compiler = self._compilers.get(key)
         if compiler is None:
             compiler = _make_compiler(compiler_name,
-                                      self.target(target_name), options)
+                                      self.target(target_name))
             self._compilers[key] = compiler
         return compiler
 

@@ -41,24 +41,23 @@ def _fingerprint(results):
 
 
 def test_serial_matches_parallel():
-    serial = run_many(_JOBS, parallel=False)
-    parallel = run_many(_JOBS, parallel=True, max_workers=2)
+    serial = run_many(_JOBS, max_workers=1)
+    parallel = run_many(_JOBS, max_workers=2)
     assert _fingerprint(serial) == _fingerprint(parallel)
 
 
 def test_results_in_job_order():
-    results = run_many(_JOBS, parallel=True, max_workers=2)
+    results = run_many(_JOBS, max_workers=2)
     assert [result.job for result in results] == _JOBS
     assert all(result.ok for result in results)
 
 
-@pytest.mark.parametrize("parallel", [False, True],
-                         ids=["serial", "parallel"])
-def test_compile_error_is_captured_in_order(parallel):
+@pytest.mark.parametrize("workers", [1, 2], ids=["serial", "parallel"])
+def test_compile_error_is_captured_in_order(workers):
     """A CompileError from one worker neither kills the farm nor
     perturbs the ordering of its neighbours' results."""
     jobs = [_JOBS[0], _BAD_JOB, _JOBS[2]]
-    results = run_many(jobs, parallel=parallel, max_workers=2)
+    results = run_many(jobs, max_workers=workers)
     assert [result.job for result in results] == jobs
     good_first, bad, good_last = results
     assert good_first.ok and good_last.ok
@@ -77,15 +76,15 @@ def test_unknown_names_are_captured_not_raised():
         CompileJob(kernel="no_such_kernel"),
         CompileJob(kernel="fir", compiler="no_such_compiler"),
         CompileJob(kernel="fir", target="no_such_target"),
-    ], parallel=False)
+    ], max_workers=1)
     assert [result.ok for result in results] == [False, False, False]
     assert all(isinstance(result, Result) for result in results)
 
 
 def test_auto_mode_runs_everything():
-    """parallel=None (auto) must behave like the other modes."""
+    """The default worker count must behave like the other modes."""
     auto = run_many(_JOBS[:5])
-    serial = run_many(_JOBS[:5], parallel=False)
+    serial = run_many(_JOBS[:5], max_workers=1)
     assert _fingerprint(auto) == _fingerprint(serial)
 
 
@@ -113,7 +112,7 @@ def test_duplicate_jobs_compile_once_and_fan_back_out(monkeypatch):
     job = CompileJob(kernel="real_update")
     jobs = [job, CompileJob(kernel="fir"), job, job,
             CompileJob(kernel="real_update")]      # equal by content
-    results = farm.run_many(jobs, parallel=False)
+    results = farm.run_many(jobs, max_workers=1)
 
     assert len(calls) == 2                         # one per unique key
     assert [result.job for result in results] == jobs
@@ -130,8 +129,8 @@ def test_dedup_matches_undeduped_serial_run():
     """Fan-out must be invisible: a list with duplicates returns the
     same fingerprint as compiling every entry individually."""
     jobs = [_JOBS[0], _JOBS[1], _JOBS[0], _JOBS[1], _JOBS[0]]
-    deduped = run_many(jobs, parallel=False)
-    individually = [run_many([job], parallel=False)[0]
+    deduped = run_many(jobs, max_workers=1)
+    individually = [run_many([job], max_workers=1)[0]
                     for job in jobs]
     assert _fingerprint(deduped) == _fingerprint(individually)
 
@@ -151,7 +150,7 @@ def test_fresh_jobs_are_exempt_from_dedup(monkeypatch):
     monkeypatch.setattr(farm, "run_job", counting_run_job)
     jobs = [CompileJob(kernel="real_update", fresh=True)
             for _ in range(3)]
-    results = farm.run_many(jobs, parallel=False)
+    results = farm.run_many(jobs, max_workers=1)
     assert len(calls) == 3
     assert all(result.ok for result in results)
 
@@ -176,7 +175,7 @@ def test_verify_jobs_dedup_on_content(monkeypatch):
         return real_run(verify_job)
 
     monkeypatch.setattr(farm.VerifyJob, "run", counting_run)
-    results = farm.run_many([job, twin, job], parallel=False)
+    results = farm.run_many([job, twin, job], max_workers=1)
     assert len(calls) == 1
     assert [result.job for result in results] == [job, twin, job]
     assert all(result.ok and result.payload.ok for result in results)
@@ -210,9 +209,9 @@ class _DiesOnceInWorker:
 def test_pool_death_falls_back_to_serial_with_warning(tmp_path, caplog):
     jobs = [_DiesOnceInWorker(value, str(tmp_path / "died"), os.getpid())
             for value in range(4)]
-    serial = run_many(jobs, parallel=False)
+    serial = run_many(jobs, max_workers=1)
     with caplog.at_level(logging.WARNING, logger="repro.farm"):
-        survived = run_many(jobs, parallel=True, max_workers=2)
+        survived = run_many(jobs, max_workers=2)
     assert [(r.job, r.payload) for r in survived] \
         == [(r.job, r.payload) for r in serial]
     assert (tmp_path / "died").exists(), "a pool worker must have died"

@@ -85,7 +85,7 @@ def test_table1_is_identical_across_flips(monkeypatch):
     flips on it, a limit of 50 flips throughout, and neither changes a
     listing or a row."""
     def rows():
-        return compute_table1(parallel=False)
+        return compute_table1()
 
     for build in (_table1_listings, rows):
         flips = _fresh(DEFAULT_LIMIT, monkeypatch)

@@ -12,7 +12,7 @@ from repro.cache import ArtifactCache
 from repro.codegen.pipeline import RecordOptions
 from repro.dspstone import kernel
 from repro.tune.measure import (
-    clear_measure_pools, measure_cell, measurement_key,
+    TuneCell, clear_measure_pools, measure_cell, measurement_key,
 )
 from repro.tune.search import default_input_sets
 
@@ -33,15 +33,19 @@ def active(tmp_path):
     repro.cache._ACTIVE = None
 
 
-def _cell(name="real_update", target="tc25", **kwargs):
-    program = kernel(name).program
+def _ingredients():
+    program = kernel("real_update").program
     inputs = default_input_sets(program, count=2, seed=0)
-    options = RecordOptions(**kwargs)
-    return program, target, options, inputs
+    return program, "tc25", RecordOptions(), inputs
+
+
+def _cell(target="tc25"):
+    program, _target, _options, inputs = _ingredients()
+    return TuneCell(program, target, inputs)
 
 
 def test_measure_counts_real_cycles_and_agrees_with_oracle():
-    measurement = measure_cell(*_cell())
+    measurement = measure_cell(_cell(), RecordOptions())
     assert measurement.ok
     assert measurement.correct
     assert len(measurement.cycles) == 2
@@ -52,9 +56,8 @@ def test_measure_counts_real_cycles_and_agrees_with_oracle():
 
 
 def test_compile_error_is_a_measurement_not_a_crash(m56):
-    program, _target, _options, inputs = _cell()
     bad = RecordOptions(compaction="no-such-strategy")
-    measurement = measure_cell(program, "m56", bad, inputs)
+    measurement = measure_cell(_cell("m56"), bad)
     assert not measurement.ok
     assert measurement.error_type == "CompileError"
     assert not measurement.correct
@@ -64,12 +67,12 @@ def test_compile_error_is_a_measurement_not_a_crash(m56):
 def test_uncacheable_cell_is_measured_and_counted(active, caplog):
     """A cell whose key cannot be derived (here: an input value JSON
     cannot express) is measured uncached and counted, not dropped."""
-    program, target, options, _inputs = _cell()
+    program, target, options, _inputs = _ingredients()
     inputs = [{name: object() for name, symbol in program.symbols.items()
                if symbol.role == "input"}]
     with caplog.at_level(logging.WARNING, logger="repro.cache"):
-        first = measure_cell(program, target, options, inputs)
-        second = measure_cell(program, target, options, inputs)
+        first = measure_cell(TuneCell(program, target, inputs), options)
+        second = measure_cell(TuneCell(program, target, inputs), options)
     assert not first.cached and not second.cached
     assert active.stats.uncacheable == 2
     assert active.stats.to_json()["uncacheable"] == 2
@@ -78,9 +81,8 @@ def test_uncacheable_cell_is_measured_and_counted(active, caplog):
 
 
 def test_record_replay_is_byte_identical(active):
-    cell = _cell()
-    first = measure_cell(*cell)
-    second = measure_cell(*cell)
+    first = measure_cell(_cell(), RecordOptions())
+    second = measure_cell(_cell(), RecordOptions())
     assert not first.cached
     assert second.cached
     assert json.dumps(first.to_json(), sort_keys=True) \
@@ -88,7 +90,7 @@ def test_record_replay_is_byte_identical(active):
 
 
 def test_key_depends_on_every_ingredient():
-    program, target, options, inputs = _cell()
+    program, target, options, inputs = _ingredients()
     base = measurement_key(program, target, options, inputs)
     assert base is not None
     assert measurement_key(program, "m56", options, inputs) != base
@@ -104,6 +106,6 @@ def test_key_depends_on_every_ingredient():
 
 
 def test_key_is_stable_across_calls():
-    program, target, options, inputs = _cell()
+    program, target, options, inputs = _ingredients()
     assert measurement_key(program, target, options, inputs) \
         == measurement_key(program, target, options, inputs)

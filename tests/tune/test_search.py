@@ -45,7 +45,7 @@ CONFIG = TuneConfig(budget=8, inputs_per_program=1)
 
 
 def test_budget_is_respected_and_default_measured_first():
-    outcome = tune_kernel("real_update", config=CONFIG, jobs=1)
+    outcome = tune_kernel("real_update", config=CONFIG)
     assert outcome.budget_used <= CONFIG.budget
     assert outcome.budget_used == len(outcome.table)
     assert outcome.table[0].options == RecordOptions().to_dict()
@@ -54,8 +54,8 @@ def test_budget_is_respected_and_default_measured_first():
 
 
 def test_rerun_replays_byte_identical_table_with_zero_fresh_work(active):
-    first = tune_kernel("fir", config=CONFIG, jobs=1)
-    second = tune_kernel("fir", config=CONFIG, jobs=1)
+    first = tune_kernel("fir", config=CONFIG)
+    second = tune_kernel("fir", config=CONFIG)
     blob = lambda o: json.dumps([m.to_json() for m in o.table],  # noqa: E731
                                 sort_keys=True)
     assert blob(first) == blob(second)
@@ -71,8 +71,7 @@ def test_tuning_finds_the_known_fir_win():
     # TC25 it strictly reduces fir's cycle count, so the tuner must
     # surface it.
     outcome = tune_kernel("fir", config=TuneConfig(budget=16,
-                                                   inputs_per_program=1),
-                          jobs=1)
+                                                   inputs_per_program=1))
     assert outcome.improved
     assert "fuse_shift_idioms" in outcome.movers
     assert outcome.tuned_options.fuse_shift_idioms is True
@@ -85,10 +84,8 @@ def test_selection_gate_rejects_fast_but_wrong_configuration(monkeypatch):
     select a configuration that agrees with the oracle instead."""
     real_measure = search_mod.measure_cell
 
-    def lying_measure(program, target_name, options, input_sets,
-                      sim="jit", cell=None):
-        measurement = real_measure(program, target_name, options,
-                                   input_sets, sim=sim, cell=cell)
+    def lying_measure(cell, options):
+        measurement = real_measure(cell, options)
         if options.peephole is False:
             return Measurement(
                 target=measurement.target,
@@ -102,8 +99,7 @@ def test_selection_gate_rejects_fast_but_wrong_configuration(monkeypatch):
     monkeypatch.setattr(search_mod, "measure_cell", lying_measure)
     outcome = tune_program(kernel("real_update").program,
                            config=TuneConfig(budget=16,
-                                             inputs_per_program=1),
-                           jobs=1)
+                                             inputs_per_program=1))
     wrong = [opts for opts in outcome.rejected
              if opts["peephole"] is False]
     assert wrong, "the fast-but-wrong candidate never hit the gate"
@@ -124,27 +120,14 @@ def test_gate_requires_both_ok_and_correct():
 
 
 def test_unmeasurable_default_raises_tune_error(monkeypatch):
-    def broken_measure(program, target_name, options, input_sets,
-                       sim="jit", cell=None):
-        return Measurement(target=target_name,
+    def broken_measure(cell, options):
+        return Measurement(target=cell.target_name,
                            options=options.to_dict(),
                            error="injected", error_type="CompileError")
 
     monkeypatch.setattr(search_mod, "measure_cell", broken_measure)
     with pytest.raises(TuneError):
-        tune_program(kernel("real_update").program, config=CONFIG,
-                     jobs=1)
-
-
-def test_farm_and_serial_paths_agree(active):
-    serial = tune_kernel("complex_multiply", config=CONFIG, jobs=1)
-    repro.cache._ACTIVE = None    # force the farm path to re-measure
-    clear_measure_pools()
-    farmed = tune_kernel("complex_multiply", config=CONFIG, jobs=2)
-    assert json.dumps([m.to_json() for m in serial.table],
-                      sort_keys=True) \
-        == json.dumps([m.to_json() for m in farmed.table],
-                      sort_keys=True)
+        tune_program(kernel("real_update").program, config=CONFIG)
 
 
 def test_config_validation():

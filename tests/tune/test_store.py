@@ -46,7 +46,7 @@ def tuned_fir(active):
     """fir tuned on tc25 against a fresh store, with its input sets."""
     program = kernel("fir").program
     inputs = default_input_sets(program, CONFIG.inputs_per_program)
-    outcome = tune_program(program, "tc25", inputs, CONFIG, jobs=1)
+    outcome = tune_program(program, "tc25", inputs, CONFIG)
     return program, inputs, outcome
 
 

@@ -61,8 +61,7 @@ def test_every_candidate_of_a_pass_equals_a_compile_without_a_memo(
     monkeypatch.setattr(RecordCompiler, "tail", counting)
     for name in available_kernels():
         for target in available_targets():
-            tune_kernel(name, target, TuneConfig(budget=32), jobs=1,
-                        seed=0)
+            tune_kernel(name, target, TuneConfig(budget=32), seed=0)
     monkeypatch.undo()
     assert len(tail_runs) < len(in_cells)
     differ = [(program.name, target.name, options)
@@ -84,5 +83,5 @@ def test_one_m56_tune_call_addresses_each_distinct_tail_once(monkeypatch):
         return assign(self, code, program, extra_scalars, options)
     monkeypatch.setattr(M56, "assign_addresses", recording)
     outcome = tune_program(kernel("fir").program, "m56",
-                           config=TuneConfig(budget=32), jobs=1)
+                           config=TuneConfig(budget=32))
     assert len(set(keys)) == len(keys) < len(outcome.table)

@@ -119,8 +119,8 @@ def test_verify_job_pickles_small():
 def test_verify_jobs_order_and_serial_parallel_equality():
     jobs = [_job(seed) for seed in (5, 6, 7)]
     clear_worker_session()
-    serial = run_many(jobs, parallel=False)
-    parallel = run_many(jobs, parallel=True, max_workers=2)
+    serial = run_many(jobs, max_workers=1)
+    parallel = run_many(jobs, max_workers=2)
     assert [r.job for r in serial] == jobs
     assert [r.job for r in parallel] == jobs
     for left, right in zip(serial, parallel):
@@ -129,9 +129,8 @@ def test_verify_jobs_order_and_serial_parallel_equality():
             == [o.describe() for o in right.payload.outcomes]
 
 
-@pytest.mark.parametrize("parallel", [False, True],
-                         ids=["serial", "parallel"])
-def test_worker_error_travels_as_string(parallel):
+@pytest.mark.parametrize("workers", [1, 2], ids=["serial", "parallel"])
+def test_worker_error_travels_as_string(workers):
     """A failing job reports in order instead of killing the farm.
 
     The broken spec raises inside the worker; only the stringified
@@ -142,7 +141,7 @@ def test_worker_error_travels_as_string(parallel):
                                  "body": [{"kind": "no-such-kind"}]},
                     input_sets=({},), targets=("tc25",))
     jobs = [_job(5), bad, _job(7)]
-    results = run_many(jobs, parallel=parallel, max_workers=2)
+    results = run_many(jobs, max_workers=workers)
     assert [r.job for r in results] == jobs
     good_first, broken, good_last = results
     assert good_first.ok and good_last.ok
@@ -162,11 +161,11 @@ def test_pool_startup_failure_falls_back_to_serial(monkeypatch):
 
     jobs = [_job(5), _job(6)]
     clear_worker_session()
-    expected = run_many(jobs, parallel=False)
+    expected = run_many(jobs, max_workers=1)
     monkeypatch.setattr(farm.concurrent.futures, "ProcessPoolExecutor",
                         _RefusesToStart)
     clear_worker_session()
-    degraded = run_many(jobs, parallel=True, max_workers=2)
+    degraded = run_many(jobs, max_workers=2)
     assert all(r.ok for r in degraded)
     assert [
         [o.describe() for o in r.payload.outcomes] for r in degraded
