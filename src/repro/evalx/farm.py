@@ -371,17 +371,22 @@ def make_farm_executor(max_workers: Optional[int] = None
 
     Workers are initialized against the driver's active artifact cache
     exactly like :func:`run_many`'s per-call pools, so configure the
-    cache first.  Returns ``None`` when process pools are unavailable
-    (the caller then lets each :func:`run_many` call fall back to
-    serial in-process execution).
+    cache first.  Returns ``None``, with a ``repro.farm`` warning, when
+    process pools are unavailable (the caller then lets each
+    :func:`run_many` call fall back to serial in-process execution).
     """
     workers = max_workers if max_workers is not None else default_workers()
+    pool = None
     try:
         pool = concurrent.futures.ProcessPoolExecutor(
             max_workers=workers, **_pool_kwargs())
         # Force worker start-up now so failures surface here, not on
         # the first batch.
         pool.submit(os.getpid).result(timeout=60)
-    except Exception:                              # noqa: BLE001
+    except Exception as exc:                       # noqa: BLE001
+        logger.warning("farm process pool failed to start (%s: %s); "
+                       "running serially", type(exc).__name__, exc)
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
         return None
     return pool

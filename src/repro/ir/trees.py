@@ -196,10 +196,6 @@ class Tree:
 
     # -- inspection -----------------------------------------------------
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.kind is not OpKind.COMPUTE
-
     def size(self) -> int:
         """Number of nodes in the tree."""
         return 1 + sum(child.size() for child in self.children)

@@ -14,11 +14,13 @@ into a *long-running service* that many clients can hammer at once:
 - :mod:`repro.serve.batcher` -- the latency/throughput batching
   window with in-flight coalescing;
 - :mod:`repro.serve.client` -- a blocking client;
-- :mod:`repro.serve.traffic` -- the seeded hot/cold workload
-  generator behind ``BENCH_SERVE.json``.
+- :mod:`repro.serve.traffic` -- the hot kernels and targets that the
+  e2e ``serve`` workload and the service tests request.
 
 Start a server with ``python -m repro serve`` and talk to it with
-:class:`~repro.serve.client.ServeClient`.
+:class:`~repro.serve.client.ServeClient`.  The e2e ``serve`` workload
+(``benchmarks/e2e``) measures it under load; the service's dedup and
+identity contracts are tier-1 tests (``tests/serve/test_service.py``).
 """
 
 from repro.serve.batcher import Batcher, BatcherStats

@@ -24,8 +24,8 @@ Operations::
 
 A program may arrive as a DSPStone ``kernel`` registry name, as
 MiniDFL ``source`` text, or as a serialized ``program`` spec
-(:func:`repro.verify.corpus.program_to_spec` form -- what the traffic
-generator and the conformance tooling speak natively).
+(:func:`repro.verify.corpus.program_to_spec` form -- what the e2e
+``serve`` workload and the conformance tooling speak natively).
 
 Every response carries ``served_by`` (``"cache"``: answered straight
 from the persistent artifact store; ``"coalesced"``: attached to an

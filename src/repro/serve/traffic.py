@@ -1,292 +1,10 @@
-"""Synthetic traffic for the compile service.
+"""The compile service's hot request set.
 
-Models the workbench workload the paper implies and the ROADMAP's
-"millions of users" north star makes explicit: a *hot set* of programs
-everyone keeps recompiling and re-simulating (DSPStone kernels across
-targets -- think: every designer exploring the same cube corner), plus
-a stream of *cold* novel programs (drawn from the conformance fuzzer's
-grammar, :mod:`repro.verify.progen`) that each appear once.  Requests
-mix ``compile`` and ``simulate`` ops, targets, and simulator tiers.
-
-Everything is seeded: identical ``(config, seed)`` produce the
-identical request list, so a benchmark run is reproducible and the
-zero-recompile assertion is meaningful.
-
-Each request carries client-side metadata (its artifact *group*: one
-group per (program, compiler, target) cell) so the driver can check
-the service's contract from the outside: within one run, **at most
-one request per group may be served by the farm** -- every other
-request in the group must come back ``cache`` or ``coalesced``.
-
-Run against a live server::
-
-    python -m repro.serve.traffic --port 8357 --quick
+The e2e ``serve`` workload (``benchmarks/e2e/serveload.py``) and the
+service tests (``tests/serve/test_service.py``) draw their hot requests
+from these kernels on these targets.
 """
-
-from __future__ import annotations
-
-import argparse
-import json
-import random
-import sys
-import threading
-from dataclasses import dataclass, field
-from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
-
-from repro.serve.client import ServeClient
 
 #: Hot-set kernels: small, fast to compile, available on every target.
 HOT_KERNELS = ("real_update", "dot_product", "fir")
 DEFAULT_TARGETS = ("tc25", "m56", "risc16", "asip")
-
-
-@dataclass(frozen=True)
-class TrafficConfig:
-    """Shape of one synthetic workload."""
-
-    requests: int = 200
-    hot_fraction: float = 0.7     # share of requests aimed at the hot set
-    cold_programs: int = 20       # unique progen programs in the stream
-    targets: Tuple[str, ...] = DEFAULT_TARGETS
-    sims: Tuple[str, ...] = ("jit", "fast")
-    simulate_fraction: float = 0.5
-    seed: int = 0
-    connections: int = 4          # concurrent client connections
-
-
-@dataclass
-class TrafficItem:
-    """One request plus the metadata the driver grades it with."""
-
-    payload: dict
-    group: str                    # artifact cell: program/compiler/target
-    hot: bool
-
-
-def build_requests(config: TrafficConfig) -> List[TrafficItem]:
-    """The deterministic request list for one workload."""
-    from repro.dspstone import kernel
-    from repro.verify.corpus import program_to_spec
-    from repro.verify.progen import generate_inputs, generate_program
-
-    rng = random.Random(config.seed)
-
-    # Hot pool: kernel x target cells, each with ready-made inputs.
-    hot_pool: List[Tuple[str, dict, dict]] = []
-    for name in HOT_KERNELS:
-        spec = kernel(name)
-        for target in config.targets:
-            group = f"{name}/record/{target}"
-            base = {"kernel": name, "target": target,
-                    "compiler": "record"}
-            hot_pool.append((group, base,
-                             spec.inputs(seed=config.seed)))
-
-    # Cold pool: novel generated programs, one appearance each.
-    cold_pool: List[Tuple[str, dict, dict]] = []
-    for index in range(config.cold_programs):
-        program_rng = random.Random(config.seed * 100_003 + index)
-        program = generate_program(program_rng, index)
-        spec = program_to_spec(program)
-        target = config.targets[index % len(config.targets)]
-        group = f"{program.name}/record/{target}"
-        base = {"program": spec, "target": target, "compiler": "record"}
-        cold_pool.append((group, base,
-                          generate_inputs(program_rng, program)))
-
-    items: List[TrafficItem] = []
-    cold_cursor = 0
-    for _ in range(config.requests):
-        use_hot = rng.random() < config.hot_fraction \
-            or cold_cursor >= len(cold_pool)
-        if use_hot:
-            group, base, inputs = hot_pool[rng.randrange(len(hot_pool))]
-        else:
-            group, base, inputs = cold_pool[cold_cursor]
-            cold_cursor += 1
-        payload = dict(base)
-        if rng.random() < config.simulate_fraction:
-            payload["op"] = "simulate"
-            payload["inputs"] = inputs
-            payload["sim"] = config.sims[rng.randrange(len(config.sims))]
-        else:
-            payload["op"] = "compile"
-        items.append(TrafficItem(payload=payload, group=group,
-                                 hot=use_hot))
-    return items
-
-
-@dataclass
-class TrafficReport:
-    """Outcome of one driven workload."""
-
-    items: List[TrafficItem]
-    responses: List[Optional[dict]]
-    latencies: List[float]        # seconds, aligned with items
-    wall_seconds: float
-    server_stats: Optional[dict] = None
-
-    # -- aggregates -----------------------------------------------------
-
-    @property
-    def ok(self) -> bool:
-        return all(response is not None and response.get("ok")
-                   for response in self.responses)
-
-    def served_by_counts(self) -> Dict[str, int]:
-        """Responses per ``served_by`` label (farm/cache/coalesced)."""
-        counts: Dict[str, int] = {}
-        for response in self.responses:
-            if response is None:
-                continue
-            label = response.get("served_by", "error")
-            counts[label] = counts.get(label, 0) + 1
-        return counts
-
-    def farm_served_per_group(self) -> Dict[str, int]:
-        """How often each artifact cell was dispatched to the farm."""
-        counts: Dict[str, int] = {}
-        for item, response in zip(self.items, self.responses):
-            if response and response.get("served_by") == "farm":
-                counts[item.group] = counts.get(item.group, 0) + 1
-        return counts
-
-    def recompiles(self) -> int:
-        """Farm dispatches beyond the first per artifact cell --
-        the number the dedup layers exist to hold at zero."""
-        return sum(count - 1
-                   for count in self.farm_served_per_group().values()
-                   if count > 1)
-
-    def percentile(self, fraction: float) -> float:
-        """Latency at ``fraction`` (nearest-rank), in seconds."""
-        if not self.latencies:
-            return 0.0
-        ordered = sorted(self.latencies)
-        index = min(len(ordered) - 1,
-                    max(0, round(fraction * (len(ordered) - 1))))
-        return ordered[index]
-
-    def requests_per_second(self) -> float:
-        """Sustained throughput over the whole driven run."""
-        return (len(self.items) / self.wall_seconds
-                if self.wall_seconds else 0.0)
-
-    def to_json(self) -> dict:
-        """The BENCH_SERVE-style summary block."""
-        groups = self.farm_served_per_group()
-        return {
-            "requests": len(self.items),
-            "ok": self.ok,
-            "wall_seconds": round(self.wall_seconds, 3),
-            "requests_per_second": round(self.requests_per_second(), 2),
-            "latency_p50_ms": round(self.percentile(0.50) * 1e3, 3),
-            "latency_p95_ms": round(self.percentile(0.95) * 1e3, 3),
-            "latency_max_ms": round(self.percentile(1.0) * 1e3, 3),
-            "served_by": self.served_by_counts(),
-            "unique_groups": len({item.group for item in self.items}),
-            "farm_served_groups": len(groups),
-            "recompiles": self.recompiles(),
-            "server_stats": self.server_stats,
-        }
-
-
-def drive(host: str, port: int, items: Sequence[TrafficItem],
-          connections: int = 4) -> TrafficReport:
-    """Send a workload over N concurrent connections; grade the answers.
-
-    Requests are dealt round-robin; each connection pipelines its
-    share in chunks so the server's batching window sees genuinely
-    concurrent duplicates, like independent users would produce.
-    """
-    items = list(items)
-    connections = max(1, min(connections, len(items) or 1))
-    responses: List[Optional[dict]] = [None] * len(items)
-    latencies: List[float] = [0.0] * len(items)
-    errors: List[BaseException] = []
-
-    def worker(worker_index: int) -> None:
-        try:
-            with ServeClient(host=host, port=port) as client:
-                for index in range(worker_index, len(items),
-                                   connections):
-                    started = perf_counter()
-                    responses[index] = client.request(
-                        items[index].payload, check=False)
-                    latencies[index] = perf_counter() - started
-        except BaseException as exc:                   # noqa: BLE001
-            errors.append(exc)
-
-    started = perf_counter()
-    threads = [threading.Thread(target=worker, args=(index,),
-                                daemon=True)
-               for index in range(connections)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    wall = perf_counter() - started
-    if errors:
-        raise errors[0]
-
-    with ServeClient(host=host, port=port) as client:
-        server_stats = client.stats()
-    return TrafficReport(items=items, responses=responses,
-                         latencies=latencies, wall_seconds=wall,
-                         server_stats=server_stats)
-
-
-def main(argv=None) -> int:
-    """CLI: drive a running server and print the summary."""
-    parser = argparse.ArgumentParser(
-        prog="repro.serve.traffic",
-        description="synthetic hot/cold workload for python -m repro "
-                    "serve")
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=8357)
-    parser.add_argument("--requests", type=int, default=200)
-    parser.add_argument("--cold-programs", type=int, default=20)
-    parser.add_argument("--connections", type=int, default=4)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--quick", action="store_true",
-                        help="small CI-sized workload (60 requests)")
-    parser.add_argument("--json", type=str, default=None,
-                        help="write the summary to this path")
-    parser.add_argument("--assert-no-recompiles", action="store_true",
-                        help="exit 1 unless every repeated artifact "
-                             "cell was served by cache/coalescing")
-    parser.add_argument("--shutdown", action="store_true",
-                        help="send a shutdown request when done")
-    args = parser.parse_args(argv)
-
-    config = TrafficConfig(
-        requests=60 if args.quick else args.requests,
-        cold_programs=min(args.cold_programs,
-                          8 if args.quick else args.cold_programs),
-        connections=args.connections,
-        seed=args.seed)
-    items = build_requests(config)
-    report = drive(args.host, args.port, items,
-                   connections=config.connections)
-    summary = report.to_json()
-    print(json.dumps(summary, indent=2))
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(summary, handle, indent=2)
-            handle.write("\n")
-    if args.shutdown:
-        with ServeClient(host=args.host, port=args.port) as client:
-            client.shutdown()
-    if not report.ok:
-        print("FAIL: some requests errored", file=sys.stderr)
-        return 1
-    if args.assert_no_recompiles and report.recompiles() != 0:
-        print(f"FAIL: {report.recompiles()} recompiles of repeated "
-              f"artifact cells", file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -44,8 +44,7 @@ Benchmark + contracts: ``benchmarks/bench_tune.py`` -> BENCH_TUNE.json.
 from __future__ import annotations
 
 from repro.tune.db import TuningDB, default_db_path, program_digest
-from repro.tune.measure import Measurement, measure_cell, \
-    measurement_key
+from repro.tune.measure import Measurement, measure_cell
 from repro.tune.search import (
     TuneConfig, TuneError, TuneOutcome, default_input_sets,
     tune_kernel, tune_program, verify_selection,
@@ -64,7 +63,6 @@ __all__ = [
     "default_db_path",
     "default_input_sets",
     "measure_cell",
-    "measurement_key",
     "program_digest",
     "relevant_knobs",
     "tune_kernel",

@@ -157,25 +157,6 @@ def record_keys(program, target_name: str,
     return key
 
 
-def measurement_key(program, target_name: str, options: RecordOptions,
-                    input_sets: Sequence[Mapping[str, object]],
-                    sim: str = "jit",
-                    on_error: Optional[Callable[[Exception], None]] = None
-                    ) -> Optional[str]:
-    """Content key of one measurement (``None``: uncacheable).
-
-    The :func:`record_keys` recipe, under which a :class:`TuneCell`
-    stores its records.  ``on_error`` hears why a measurement has no
-    key.
-    """
-    try:
-        return record_keys(program, target_name, input_sets, sim)(options)
-    except Exception as exc:                           # noqa: BLE001
-        if on_error is not None:
-            on_error(exc)
-        return None
-
-
 def clear_measure_pools() -> None:
     """Drop this process's pooled target models (cold-start runs)."""
     from repro.api import _clear_target_pool
@@ -230,8 +211,10 @@ class TuneCell:
     def record_key(self, options: RecordOptions,
                    on_error: Optional[Callable[[Exception], None]] = None
                    ) -> Optional[str]:
-        """:func:`measurement_key` of one candidate, from the options-free
-        half this cell serialized on its first call."""
+        """Content key of one candidate's record (``None``:
+        uncacheable; ``on_error`` hears why), by the :func:`record_keys`
+        recipe, from the options-free half this cell serialized on its
+        first call."""
         try:
             if self._keys is None:
                 self._keys = record_keys(self.program, self.target_name,

@@ -32,20 +32,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from pathlib import Path
 
 from repro.selftest.generator import Fault
-from repro.verify.corpus import CorpusEntry, default_corpus_dir, \
-    failure_fingerprint, load_corpus, program_to_spec
-from repro.verify.diff import (
-    DEFAULT_TARGETS, check_program, instruction_count, run_conformance,
-    still_fails,
-)
-from repro.verify.progen import ProgenConfig, generate_inputs, \
-    generate_program
-from repro.verify.shrink import shrink_program
+from repro.verify.corpus import default_corpus_dir, load_corpus
+from repro.verify.diff import DEFAULT_TARGETS, run_conformance
+from repro.verify.shrink import reproducer
 
 
 def _parse_targets(text: str):
@@ -146,56 +139,10 @@ def _shrink_and_record(args, report) -> list:
         if len(seen_programs) >= args.max_shrink:
             break
         seen_programs.add(verdict.seed)
-        rng = random.Random(verdict.seed)
-        index = verdict.seed % 1_000_000
-        program = generate_program(rng, index)
-        all_sets = [generate_inputs(rng, program)
-                    for _ in range(args.inputs)]
-        cell = outcome.cell if outcome.cell.sim != "*" else None
-        # Pin the shrink to one exposing input set, so the recorded
-        # reproducer is self-contained: (program, inputs) must fail on
-        # replay with exactly what the corpus entry stores.
-        input_sets = next(
-            ([candidate] for candidate in all_sets
-             if still_fails(program, [candidate], targets=args.targets,
-                            fault=args.inject_fault, cell=cell)),
-            all_sets)
-        try:
-            small = shrink_program(
-                program,
-                lambda candidate: still_fails(
-                    candidate, input_sets, targets=args.targets,
-                    fault=args.inject_fault, cell=cell))
-        except ValueError:
-            # Not reproducible standalone (e.g. decode-cache dependent);
-            # record the unshrunk program instead.
-            small = program
-        kept = set(small.symbols)
-        small_spec = program_to_spec(small)
-        cell_dict = {"compiler": outcome.cell.compiler,
-                     "target": outcome.cell.target,
-                     "sim": outcome.cell.sim}
-        fingerprint = failure_fingerprint(outcome.mismatch_class,
-                                          cell_dict, small_spec)
-        entry = CorpusEntry(
-            name=f"shrunk-seed{verdict.seed}",
-            seed=verdict.seed,
-            program_spec=small_spec,
-            inputs={k: v for inputs in input_sets[:1]
-                    for k, v in inputs.items() if k in kept},
-            fault=((args.inject_fault.original,
-                    args.inject_fault.replacement)
-                   if args.inject_fault else None),
-            cell=cell_dict,
-            mismatch_class=("injected-fault" if args.inject_fault
-                            else outcome.mismatch_class),
-            note="auto-minimized by repro.verify.shrink",
-            fingerprint=fingerprint)
-        try:
-            size = instruction_count(small,
-                                     target_name=outcome.cell.target)
-        except Exception:
-            size = -1
+        entry, size = reproducer(
+            verdict.seed, outcome.cell, outcome.mismatch_class,
+            args.targets, args.inputs, args.inject_fault, None)
+        fingerprint = entry.fingerprint
         print(f"  shrunk {verdict.name} (seed {verdict.seed}) -> "
               f"{size} instructions on {outcome.cell.target} "
               f"(class {fingerprint})")

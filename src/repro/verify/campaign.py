@@ -496,11 +496,6 @@ def _run_shards_parallel(config: CampaignConfig, pending: List[dict],
 # Failure classes: shrink, fingerprint, file
 # ----------------------------------------------------------------------
 
-def _parse_cell(text: str) -> Tuple[str, str, str]:
-    compiler, target, sim = text.split("/")
-    return compiler, target, sim
-
-
 def _classify(config: CampaignConfig, state: dict,
               max_shrinks: int, reps_per_group: int,
               file_new_classes: bool, corpus_dir: Optional[Path],
@@ -514,16 +509,10 @@ def _classify(config: CampaignConfig, state: dict,
     ``max_shrinks`` overall, and every shrunk form is fingerprinted.
     Returns the fingerprints newly added to the state.
     """
-    import random
-
     from repro.selftest.generator import Fault
-    from repro.verify.corpus import (
-        CorpusEntry, default_corpus_dir, failure_fingerprint,
-        load_corpus, program_to_spec,
-    )
-    from repro.verify.diff import Cell, instruction_count, still_fails
-    from repro.verify.progen import generate_inputs, generate_program
-    from repro.verify.shrink import shrink_program
+    from repro.verify.corpus import default_corpus_dir, load_corpus
+    from repro.verify.diff import Cell
+    from repro.verify.shrink import reproducer
 
     triage = merged_triage(state)
     groups: Dict[Tuple[str, str], List[dict]] = {}
@@ -546,49 +535,23 @@ def _classify(config: CampaignConfig, state: dict,
 
     for key in sorted(groups):
         mismatch_class, cell_text = key
+        cell = Cell(*cell_text.split("/"))
         for mismatch in groups[key][:reps_per_group]:
             if shrinks >= max_shrinks:
                 break
             shrinks += 1
             seed = mismatch["seed"]
-            index = seed - config.seed * 1_000_000
-            rng = random.Random(seed)
-            program = generate_program(rng, index, progen)
-            all_sets = [generate_inputs(rng, program)
-                        for _ in range(config.inputs_per_program)]
-            compiler, target, sim = _parse_cell(cell_text)
-            cell = Cell(compiler, target, sim) if sim != "*" else None
-            check_targets = (target,)
-            input_sets = next(
-                ([candidate] for candidate in all_sets
-                 if still_fails(program, [candidate],
-                                targets=check_targets, fault=fault,
-                                cell=cell)),
-                all_sets)
-            try:
-                small = shrink_program(
-                    program,
-                    lambda candidate: still_fails(
-                        candidate, input_sets, targets=check_targets,
-                        fault=fault, cell=cell))
-            except ValueError:
-                small = program        # not reproducible standalone
-            small_spec = program_to_spec(small)
-            cell_dict = {"compiler": compiler, "target": target,
-                         "sim": sim}
-            fingerprint = failure_fingerprint(mismatch_class, cell_dict,
-                                              small_spec)
+            entry, size = reproducer(
+                seed, cell, mismatch_class, (cell.target,),
+                config.inputs_per_program, fault, progen)
+            fingerprint = entry.fingerprint
             record = state["classes"].get(fingerprint)
             if record is not None:
                 record["programs"] += 1
                 continue
-            try:
-                size = instruction_count(small, target_name=target)
-            except Exception:                          # noqa: BLE001
-                size = -1
             record = {
                 "class": mismatch_class,
-                "cell": cell_dict,
+                "cell": entry.cell,
                 "seed": seed,
                 "program": mismatch["program"],
                 "instructions": size,
@@ -596,19 +559,8 @@ def _classify(config: CampaignConfig, state: dict,
                 "filed": "",
             }
             if file_new_classes and fingerprint not in filed:
-                kept = set(small.symbols)
-                entry = CorpusEntry(
-                    name=f"campaign-{mismatch_class}-{fingerprint[:8]}",
-                    seed=seed,
-                    program_spec=small_spec,
-                    inputs={k: v for inputs in input_sets[:1]
-                            for k, v in inputs.items() if k in kept},
-                    fault=config.fault,
-                    cell=cell_dict,
-                    mismatch_class=("injected-fault" if fault
-                                    else mismatch_class),
-                    note="auto-filed by repro.verify.campaign",
-                    fingerprint=fingerprint)
+                entry.name = f"campaign-{mismatch_class}-{fingerprint[:8]}"
+                entry.note = "auto-filed by repro.verify.campaign"
                 record["filed"] = str(entry.write(directory))
                 filed[fingerprint] = entry.name
             state["classes"][fingerprint] = record

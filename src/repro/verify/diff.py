@@ -32,7 +32,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.baseline.compiler import BaselineCompiler
 from repro.codegen.pipeline import RecordCompiler
@@ -542,6 +542,17 @@ def _generate_case(seed: int, index: int, inputs_per_program: int,
     return program_seed, program, input_sets
 
 
+def regenerate_case(program_seed: int, inputs_per_program: int,
+                    config: Optional[ProgenConfig]
+                    ) -> Tuple[Program, List[Mapping[str, object]]]:
+    """The program and input sets of the fuzz case whose derived seed
+    is ``program_seed``."""
+    seed, index = divmod(program_seed, 1_000_000)
+    _seed, program, input_sets = _generate_case(
+        seed, index, inputs_per_program, config)
+    return program, input_sets
+
+
 def run_conformance(count: int = 20,
                     seed: int = 0,
                     targets: Sequence[str] = DEFAULT_TARGETS,
@@ -549,7 +560,6 @@ def run_conformance(count: int = 20,
                     config: Optional[ProgenConfig] = None,
                     budget_seconds: Optional[float] = None,
                     fault=None,
-                    on_program: Optional[Callable] = None,
                     jobs: int = 1,
                     start: int = 0,
                     session: Optional[VerifySession] = None
@@ -582,8 +592,7 @@ def run_conformance(count: int = 20,
     if jobs > 1:
         _run_conformance_parallel(report, started, count, seed, targets,
                                   inputs_per_program, config,
-                                  budget_seconds, fault, on_program,
-                                  jobs, start)
+                                  budget_seconds, fault, jobs, start)
     else:
         if session is None:
             session = VerifySession()
@@ -598,8 +607,6 @@ def run_conformance(count: int = 20,
                                     fault=fault, seed=program_seed,
                                     session=session)
             report.verdicts.append(verdict)
-            if on_program is not None:
-                on_program(program, input_sets, verdict)
     report.elapsed_seconds = time.monotonic() - started
     from repro.sim.decode import decode_cache_stats
     from repro.sim.jit import jit_cache_stats
@@ -614,8 +621,7 @@ def _run_conformance_parallel(report: ConformanceReport, started: float,
                               inputs_per_program: int,
                               config: Optional[ProgenConfig],
                               budget_seconds: Optional[float],
-                              fault, on_program: Optional[Callable],
-                              jobs: int, start: int = 0) -> None:
+                              fault, jobs: int, start: int = 0) -> None:
     """Fan program checks out to farm workers, aggregating in job order."""
     from repro.evalx import farm
     from repro.verify.corpus import program_to_spec
@@ -650,6 +656,3 @@ def _run_conformance_parallel(report: ConformanceReport, started: float,
                     f"(seed {job_list[start + offset].seed}): "
                     f"{result.error_type}: {result.error}")
             report.verdicts.append(result.payload)
-            if on_program is not None:
-                _seed, program, input_sets = cases[start + offset]
-                on_program(program, input_sets, result.payload)

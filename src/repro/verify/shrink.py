@@ -16,15 +16,25 @@ program, and the surviving reproducer is exactly what gets written to
 ``tests/corpus/``.  The greedy pass order biases toward removing big
 structure first, which is what makes fault reproducers land at a
 handful of instructions.
+
+:func:`reproducer` regenerates one failing fuzz case from its derived
+seed, shrinks it and builds its fingerprinted corpus entry; the
+``repro.verify`` CLI and campaigns file their reproducers through it.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.ir.program import Program
-from repro.verify.corpus import program_from_spec, program_to_spec
+from repro.verify.corpus import (
+    CorpusEntry, failure_fingerprint, program_from_spec, program_to_spec,
+)
+from repro.verify.diff import (
+    Cell, instruction_count, regenerate_case, still_fails,
+)
+from repro.verify.progen import ProgenConfig
 
 Predicate = Callable[[Program], bool]
 
@@ -70,6 +80,62 @@ def shrink_program(program: Program, predicate: Predicate,
     if stripped != spec and holds(stripped):
         spec = stripped
     return program_from_spec(spec)
+
+
+def reproducer(seed: int, cell: Cell, mismatch_class: str,
+               targets: Sequence[str], inputs_per_program: int,
+               fault, config: Optional[ProgenConfig]
+               ) -> Tuple[CorpusEntry, int]:
+    """A shrunk, fingerprinted corpus entry for one failing fuzz case.
+
+    The case is regenerated from its derived ``seed``.  The failure
+    must reproduce in ``cell`` over ``targets`` (any mismatch counts
+    when the cell's simulator is ``*``).  Returns the entry, named
+    ``shrunk-seed<seed>``, and the shrunk program's instruction count
+    on the cell's target (-1 when it does not compile).
+    """
+    program, all_sets = regenerate_case(seed, inputs_per_program, config)
+    exact = cell if cell.sim != "*" else None
+
+    def fails(candidate: Program, input_sets) -> bool:
+        return still_fails(candidate, input_sets, targets=targets,
+                           fault=fault, cell=exact)
+
+    # Pin the shrink to one exposing input set, so the recorded
+    # reproducer is self-contained: (program, inputs) must fail on
+    # replay with exactly what the corpus entry stores.
+    input_sets = next(([candidate] for candidate in all_sets
+                       if fails(program, [candidate])), all_sets)
+    try:
+        small = shrink_program(
+            program, lambda candidate: fails(candidate, input_sets))
+    except ValueError:
+        # Not reproducible standalone (e.g. decode-cache dependent);
+        # record the unshrunk program instead.
+        small = program
+    kept = set(small.symbols)
+    small_spec = program_to_spec(small)
+    cell_dict = {"compiler": cell.compiler, "target": cell.target,
+                 "sim": cell.sim}
+    entry = CorpusEntry(
+        name=f"shrunk-seed{seed}",
+        seed=seed,
+        program_spec=small_spec,
+        inputs={k: v for inputs in input_sets[:1]
+                for k, v in inputs.items() if k in kept},
+        fault=((fault.original, fault.replacement)
+               if fault is not None else None),
+        cell=cell_dict,
+        mismatch_class=("injected-fault" if fault is not None
+                        else mismatch_class),
+        note="auto-minimized by repro.verify.shrink",
+        fingerprint=failure_fingerprint(mismatch_class, cell_dict,
+                                        small_spec))
+    try:
+        size = instruction_count(small, target_name=cell.target)
+    except Exception:                                  # noqa: BLE001
+        size = -1
+    return entry, size
 
 
 # ----------------------------------------------------------------------

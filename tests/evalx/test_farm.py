@@ -8,13 +8,16 @@ single-core machine (``max_workers=2``), so pickling of jobs and
 compiled programs is genuinely exercised.
 """
 
+import concurrent.futures
 import logging
 import os
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
+from repro.evalx import farm
 from repro.evalx.farm import (
     CompileJob, Result, default_workers, run_job, run_many,
 )
@@ -218,6 +221,35 @@ def test_pool_death_falls_back_to_serial_with_warning(tmp_path, caplog):
     assert any(record.name == "repro.farm"
                and "BrokenProcessPool" in record.getMessage()
                for record in caplog.records)
+
+
+def test_persistent_pool_that_fails_its_first_task_is_shut_down(
+        monkeypatch, caplog):
+    pools = []
+
+    class _FailsFirstTask:
+        def __init__(self, *args, **kwargs):
+            self.shutdown_calls = 0
+            pools.append(self)
+
+        def submit(self, fn, *args, **kwargs):
+            future = concurrent.futures.Future()
+            future.set_exception(
+                BrokenProcessPool("a worker died on start-up"))
+            return future
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            self.shutdown_calls += 1
+
+    monkeypatch.setattr(farm.concurrent.futures, "ProcessPoolExecutor",
+                        _FailsFirstTask)
+    with caplog.at_level(logging.WARNING, logger="repro.farm"):
+        assert farm.make_farm_executor(2) is None
+    warnings = [record for record in caplog.records
+                if record.name == "repro.farm"]
+    assert len(warnings) == 1
+    assert "BrokenProcessPool" in warnings[0].getMessage()
+    assert [pool.shutdown_calls for pool in pools] == [1]
 
 
 # ----------------------------------------------------------------------

@@ -1,27 +1,38 @@
 """The compile service, in-process: dedup layers, identity, failure.
 
-``CompileService.handle`` is exercised without sockets (serial farm,
-no process pool), which keeps these tests fast and makes the dedup
-ladder directly observable: the first request for an artifact is
+``CompileService.handle`` is exercised without sockets, which makes the
+dedup ladder directly observable: the first request for an artifact is
 ``farm``, concurrent duplicates are ``coalesced``, later repeats are
 ``cache`` -- and every one of them returns byte-identical results to
-a direct ``repro.api`` call.
+a direct ``repro.api`` call.  The service's three contracts run on the
+serial farm and on a 2-worker process pool (``POOLS``): each artifact
+is farm-compiled at most once, an identical second pass never reaches
+the farm, and served results equal ``repro.api``'s.
 """
 
 from __future__ import annotations
 
 import asyncio
+import random
 
 import pytest
 
 import repro.cache
 from repro.serve.server import CompileService, canonical_target_name
+from repro.serve.traffic import DEFAULT_TARGETS, HOT_KERNELS
+
+#: Service arguments: the serial in-process farm, and a 2-worker
+#: process pool.
+POOLS = pytest.mark.parametrize(
+    "pool", [{"use_pool": False}, {"use_pool": True, "workers": 2}],
+    ids=["serial", "pool2"])
 
 
 @pytest.fixture()
 def service_factory(tmp_path):
-    """Build serial (poolless) services on a private cache dir; undo
-    the service's global cache configuration afterwards."""
+    """Build services (serial unless asked for a pool) on a private
+    cache dir; undo the service's global cache configuration
+    afterwards."""
     previous = repro.cache._ACTIVE
     services = []
 
@@ -30,6 +41,9 @@ def service_factory(tmp_path):
         kwargs.setdefault("use_pool", False)
         kwargs.setdefault("window", 0.005)
         service = CompileService(**kwargs)
+        # A pool that failed to start leaves a serial service, which
+        # would pass the pool cases without testing the pool.
+        assert (service.pool is not None) == kwargs["use_pool"]
         services.append(service)
         return service
 
@@ -51,9 +65,11 @@ def compile_payload(request_id, kernel="real_update", target="tc25",
 # The dedup ladder: farm -> coalesced -> cache
 # ----------------------------------------------------------------------
 
-def test_first_request_farms_then_repeats_hit_cache(service_factory):
+@POOLS
+def test_first_request_farms_then_repeats_hit_cache(service_factory,
+                                                    pool):
     async def scenario():
-        service = service_factory()
+        service = service_factory(**pool)
         try:
             first = await service.handle(compile_payload(1))
             again = await service.handle(compile_payload(2))
@@ -68,10 +84,11 @@ def test_first_request_farms_then_repeats_hit_cache(service_factory):
     assert again["key"] == first["key"]
 
 
+@POOLS
 def test_concurrent_duplicates_coalesce_onto_one_compile(
-        service_factory):
+        service_factory, pool):
     async def scenario():
-        service = service_factory()
+        service = service_factory(**pool)
         try:
             responses = await asyncio.gather(*[
                 service.handle(compile_payload(index))
@@ -142,30 +159,104 @@ def test_kernel_and_spec_forms_share_one_artifact(service_factory):
 # Identity against the direct API
 # ----------------------------------------------------------------------
 
-def test_compile_and_simulate_match_direct_api(service_factory):
+@POOLS
+def test_compile_and_simulate_match_direct_api(service_factory, pool):
+    """Every hot kernel on every target: the served listing, word count,
+    outputs and cycles on both fast tiers equal a direct compile's."""
     from repro.api import compile_kernel
     from repro.dspstone import kernel
-    direct = compile_kernel("fir", target="m56")
-    inputs = kernel("fir").inputs(seed=3)
-    direct_outputs, direct_cycles = direct.run(inputs)
+    cells = [(name, target) for name in HOT_KERNELS
+             for target in DEFAULT_TARGETS]
+    inputs = {name: kernel(name).inputs(seed=3) for name in HOT_KERNELS}
+    direct = {(name, target): compile_kernel(name, target=target)
+              for name, target in cells}
 
     async def scenario():
-        service = service_factory()
+        service = service_factory(**pool)
         try:
-            compiled = await service.handle(
-                compile_payload(1, kernel="fir", target="m56"))
-            simulated = await service.handle({
-                "id": 2, "op": "simulate", "kernel": "fir",
-                "target": "m56", "compiler": "record",
-                "inputs": inputs, "sim": "fast"})
-            return compiled, simulated
+            return await asyncio.gather(*[
+                asyncio.gather(
+                    service.handle(compile_payload(
+                        1, kernel=name, target=target)),
+                    *[service.handle({
+                        "id": 2, "op": "simulate", "kernel": name,
+                        "target": target, "compiler": "record",
+                        "inputs": inputs[name], "sim": sim})
+                      for sim in ("jit", "fast")])
+                for name, target in cells])
         finally:
             await service.close()
 
-    compiled, simulated = run(scenario())
-    assert compiled["result"]["listing"] == direct.listing()
-    assert simulated["result"]["outputs"] == direct_outputs
-    assert simulated["result"]["cycles"] == direct_cycles
+    for (name, target), (compiled, *simulated) in zip(
+            cells, run(scenario())):
+        expected = direct[name, target]
+        outputs, cycles = expected.run(inputs[name])
+        assert compiled["result"]["listing"] == expected.listing(), \
+            (name, target)
+        assert compiled["result"]["words"] == expected.words()
+        for response in simulated:
+            assert response["result"]["outputs"] == outputs, \
+                (name, target, response["result"]["sim"])
+            assert response["result"]["cycles"] == cycles
+
+
+def mixed_requests():
+    """(cell, payload) pairs: compile and simulate (jit and fast) for
+    every hot kernel on every target and for three novel generated
+    programs.  A cell is one (program, target) artifact."""
+    from repro.dspstone import kernel
+    from repro.verify.corpus import program_to_spec
+    from repro.verify.progen import generate_inputs, generate_program
+    programs = [((name, target), {"kernel": name, "target": target},
+                 kernel(name).inputs(seed=0))
+                for name in HOT_KERNELS for target in DEFAULT_TARGETS]
+    for index in range(3):
+        rng = random.Random(index)
+        program = generate_program(rng, index)
+        target = DEFAULT_TARGETS[index % len(DEFAULT_TARGETS)]
+        programs.append(((program.name, target),
+                         {"program": program_to_spec(program),
+                          "target": target},
+                         generate_inputs(rng, program)))
+    requests = []
+    for cell, base, inputs in programs:
+        base = {**base, "compiler": "record"}
+        requests.append((cell, {**base, "op": "compile"}))
+        requests.extend((cell, {**base, "op": "simulate",
+                                "inputs": inputs, "sim": sim})
+                        for sim in ("jit", "fast"))
+    return requests
+
+
+@POOLS
+def test_mixed_two_pass_farms_each_artifact_once(service_factory, pool):
+    """Two identical concurrent passes of hot and novel requests: the
+    first farm-compiles each (program, target) at most once, the second
+    never reaches the farm and answers as the first did."""
+    requests = mixed_requests()
+
+    async def scenario():
+        service = service_factory(**pool)
+        try:
+            passes = []
+            for _ in range(2):
+                passes.append(await asyncio.gather(*[
+                    service.handle(payload)
+                    for _cell, payload in requests]))
+            return passes
+        finally:
+            await service.close()
+
+    first, second = run(scenario())
+    assert all(response["ok"] for response in first + second)
+    farmed = [cell for (cell, _payload), response in zip(requests, first)
+              if response["served_by"] == "farm"]
+    assert len(farmed) == len(set(farmed))
+    assert {cell for cell, _payload in requests} == set(farmed)
+    assert {response["served_by"] for response in second} \
+        <= {"cache", "coalesced"}
+    assert [response["result"] for response in second] \
+        == [response["result"] for response in first]
 
 
 def test_verify_op_reports_clean_matrix(service_factory):

@@ -12,7 +12,7 @@ from repro.cache import ArtifactCache
 from repro.codegen.pipeline import RecordOptions
 from repro.dspstone import kernel
 from repro.tune.measure import (
-    TuneCell, clear_measure_pools, measure_cell, measurement_key,
+    TuneCell, clear_measure_pools, measure_cell, record_keys,
 )
 from repro.tune.search import default_input_sets
 
@@ -91,21 +91,19 @@ def test_record_replay_is_byte_identical(active):
 
 def test_key_depends_on_every_ingredient():
     program, target, options, inputs = _ingredients()
-    base = measurement_key(program, target, options, inputs)
+    base = record_keys(program, target, inputs)(options)
     assert base is not None
-    assert measurement_key(program, "m56", options, inputs) != base
-    assert measurement_key(program, target,
-                           RecordOptions(metric="speed"),
-                           inputs) != base
-    assert measurement_key(program, target, options,
-                           inputs[:1]) != base
-    assert measurement_key(program, target, options, inputs,
-                           sim="fast") != base
+    assert record_keys(program, "m56", inputs)(options) != base
+    assert record_keys(program, target, inputs)(
+        RecordOptions(metric="speed")) != base
+    assert record_keys(program, target, inputs[:1])(options) != base
+    assert record_keys(program, target, inputs, sim="fast")(options) \
+        != base
     other = kernel("complex_multiply").program
-    assert measurement_key(other, target, options, inputs) != base
+    assert record_keys(other, target, inputs)(options) != base
 
 
 def test_key_is_stable_across_calls():
     program, target, options, inputs = _ingredients()
-    assert measurement_key(program, target, options, inputs) \
-        == measurement_key(program, target, options, inputs)
+    assert record_keys(program, target, inputs)(options) \
+        == record_keys(program, target, inputs)(options)

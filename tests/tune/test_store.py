@@ -3,7 +3,7 @@
 A cell's candidates are cached by their measurement records, not by
 compiled artifacts: a tune call on a fresh store writes one ``record``
 row per fresh candidate and no ``artifact`` row, under the key
-``measurement_key`` derives.  Winners still compile through the
+``record_keys`` derives.  Winners still compile through the
 artifact cache when a consumer such as ``TunedCompiler`` asks for them.
 """
 
@@ -18,7 +18,7 @@ from repro.codegen.pipeline import RecordOptions
 from repro.dspstone import kernel
 from repro.tune import TuneConfig, tune_program
 from repro.tune.db import TuningDB
-from repro.tune.measure import clear_measure_pools, measurement_key
+from repro.tune.measure import clear_measure_pools, record_keys
 from repro.tune.search import default_input_sets
 from repro.tune.tuned import TunedCompiler
 from tests.cache.store_rows import connect
@@ -72,9 +72,8 @@ def test_a_tune_call_stores_records_and_no_artifacts(tuned_fir, active):
 
 def test_measurement_key_is_the_key_the_cell_stored(tuned_fir, active):
     program, inputs, outcome = tuned_fir
-    keys = {measurement_key(program, "tc25",
-                            RecordOptions.from_dict(m.options), inputs,
-                            CONFIG.sim): m
+    key = record_keys(program, "tc25", inputs, CONFIG.sim)
+    keys = {key(RecordOptions.from_dict(m.options)): m
             for m in outcome.table}
     assert set(keys) == _keys_by_kind(active)["record"]
     for key, measurement in keys.items():
